@@ -65,16 +65,10 @@ def _pattern_upper(problem, pattern):
     grids = [_grid(d) for d in problem.params]
     selected = [j for j in range(r) if bits[j]]
     # enumeration over (block, q) for the selected slots only
-    sel_opts = []
-    for j in selected:
-        opts = []
-        for b in problem.params[j].blocks:
-            npow = b.nilpotent
-            for q in range(1, b.order):
-                opts.append((q, frobenius_norm(npow)))
-                if q + 1 < b.order:
-                    npow = mat_mul(npow, b.nilpotent)
-        sel_opts.append(opts)
+    sel_opts = [[(q, frobenius_norm(npow))
+                 for b in problem.params[j].blocks
+                 for q, npow in enumerate(b.powers, 1)]
+                for j in selected]
     scalar_total = 0.0
     for combo in itertools.product(*sel_opts):
         orders = [0] * r
@@ -183,17 +177,6 @@ def _chain_positions(positions, args):
     return out
 
 
-def _nil_powers(block):
-    """[(q, N**q)] for q = 1..order-1."""
-    out = []
-    npow = block.nilpotent
-    for q in range(1, block.order):
-        out.append((q, npow))
-        if q + 1 < block.order:
-            npow = mat_mul(npow, block.nilpotent)
-    return out
-
-
 def explicit_cross_term(beta_small, beta_big, slots, pair_pos, c_dec, d_dec,
                         nilpotent_pair, args, budget=None):
     """One named correction term, assembled literally as a sum over the
@@ -245,8 +228,8 @@ def explicit_cross_term(beta_small, beta_big, slots, pair_pos, c_dec, d_dec,
         for cb in c_dec.blocks:
             for db in d_dec.blocks:
                 lc, ld = cb.eigenvalue, db.eigenvalue
-                cn = _nil_powers(cb)
-                dn = _nil_powers(db)
+                cn = list(enumerate(cb.powers, 1))
+                dn = list(enumerate(db.powers, 1))
                 if not nilpotent_pair:
                     for qc, ncq in cn:
                         for qd, ndq in dn:

@@ -2,10 +2,12 @@
 
 A problem bundles the scalar symbol beta (arity zeta+1), the Jordan
 decompositions of the zeta+1 parameter matrices, and the zeta integrated
-argument matrices. Evaluation is the slot sum of :mod:`spectral_map` with
-the arguments interleaved between the slot factors; per-slot mode
-restrictions give the nilpotent-pattern terms and every sub-sum used by
-the analysis and derivative layers.
+argument matrices. Evaluation is the slot sum of :mod:`spectral_map`: one
+option per distinct eigenvalue and order in each slot, the arguments
+interleaved between the slot factors, evaluated in Jordan coordinates
+(each argument enters once, as V_j^-1 A_j V_{j+1}). Per-slot mode
+restrictions (P or N options only) give the nilpotent-pattern terms and
+every sub-sum used by the analysis and derivative layers.
 """
 
 from __future__ import annotations

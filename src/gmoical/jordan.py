@@ -4,11 +4,14 @@ A decomposition carries, per Jordan chain, the (non-orthogonal) spectral
 projector P and nilpotent part N obtained from a similarity X = V J V^-1:
 P selects the chain's columns of V, N is the shift on those columns. The
 resolution of identity sum(P) = I and X = sum(lambda P + N) hold by
-construction; ``validate`` measures the residuals.
+construction; ``validate`` measures the residuals. ``components`` groups
+the chains per distinct eigenvalue as column index pairs of the shift
+powers, which is what the slot sums of :mod:`spectral_map` use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +33,32 @@ class SpectralBlock:
     nilpotent: Matrix
     order: int                  # m >= 1; N**m == 0
 
-    def nilpotent_power(self, q):
-        return self.nilpotent.power(q)
+    @functools.cached_property
+    def powers(self):
+        """(N, N**2, ..., N**(order-1)), each power the previous one
+        times N."""
+        out = []
+        for _ in range(1, self.order):
+            out.append(mat_mul(out[-1], self.nilpotent) if out
+                       else self.nilpotent)
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class SpectralComponent:
+    """All Jordan chains of one distinct eigenvalue, as index pairs in the
+    column order of the transform V: ``shifts[q]`` holds the positions
+    (i, i + q) of the ones of S**q restricted to these chains, where S is
+    the shift of J. V E V^-1 for the 0/1 matrix E on ``shifts[0]`` is the
+    eigenvalue's projector P, and on ``shifts[q]`` its nilpotent power
+    N**q."""
+    eigenvalue: object
+    shifts: tuple
+
+    @property
+    def order(self):
+        """The longest chain: N**order == 0."""
+        return len(self.shifts)
 
 
 @dataclass(frozen=True)
@@ -42,6 +69,22 @@ class JordanDecomposition:
     transform_inv: Matrix
     exact: bool
     tolerance_used: float = 0.0
+
+    @functools.cached_property
+    def components(self):
+        """One SpectralComponent per distinct eigenvalue, in block order.
+        Chains group by exact equality of their stored eigenvalue."""
+        spans = {}
+        col = 0
+        for b in self.blocks:
+            spans.setdefault(b.eigenvalue, []).append((col, b.order))
+            col += b.order
+        return tuple(
+            SpectralComponent(lam, tuple(
+                tuple((s + k, s + k + q) for s, m in chains
+                      for k in range(m - q))
+                for q in range(max(m for _, m in chains))))
+            for lam, chains in spans.items())
 
     @property
     def eigenvalues(self):
@@ -329,25 +372,18 @@ def _decompose_auto_exact(x):
         p, j = sm.jordan_form()
     except Exception as e:      # sympy raises various types
         raise DecompositionError(f"exact Jordan form failed: {e}") from e
-    # read chains off J
-    chains = []
+    # read chains off J, one (eigenvalue, [length]) entry per chain
+    structure = []
     col = 0
     while col < n:
         lam = j[col, col]
         length = 1
         while col + length < n and j[col + length - 1, col + length] == 1:
             length += 1
-        chains.append((_sympy_to_qc(lam), col, length))
+        structure.append((_sympy_to_qc(lam), [length]))
         col += length
     v_rows = [[_sympy_to_qc(p[i, c]) for c in range(n)] for i in range(n)]
-    structure = {}
-    ordered = []
-    for lam, start, length in chains:
-        ordered.append((lam, [length], start))
-    # reuse from_structure's sorting by expanding to (eigenvalue, [m]) pairs
-    v = Matrix(v_rows, exact=True)
-    return from_structure([(lam, lens) for lam, lens, _ in ordered], v,
-                          exact=True)
+    return from_structure(structure, Matrix(v_rows, exact=True), exact=True)
 
 
 def _sympy_to_qc(val):

@@ -356,9 +356,6 @@ class Matrix:
         return max((abs(e if not self.exact else e.to_complex())
                     for r in self.rows for e in r), default=0.0)
 
-    def diff_norm(self, other):
-        return frobenius_norm(self - other)
-
     def to_float(self):
         if not self.exact:
             return self
@@ -381,15 +378,6 @@ def mat_mul(a, b):
             row.append(s)
         out.append(row)
     return Matrix(out, exact=a.exact)
-
-
-def mat_chain(factors):
-    """Product of a nonempty sequence of matrices, left to right."""
-    it = iter(factors)
-    out = next(it)
-    for m in it:
-        out = mat_mul(out, m)
-    return out
 
 
 def frobenius_norm(a):

@@ -1,21 +1,27 @@
 """Spectral-sum core: every evaluator in this package is a sum over
 per-slot choices from Jordan decompositions.
 
-Each slot independently picks a spectral block and either the projector P
-(derivative order 0) or a nilpotent power N**q (order q, 1 <= q < chain
-length); the term's coefficient is the symbol's mixed partial at the chosen
-eigenvalues divided by prod q_j!. Restricting a slot's choices to P only or
-N only realizes every mode-restricted variant used downstream.
+Each slot independently picks a distinct eigenvalue and either its
+projector P (derivative order 0) or a power N**q of its nilpotent part
+(order q, 1 <= q < longest chain); the term's coefficient is the symbol's
+mixed partial at the chosen eigenvalues divided by prod q_j!. The
+coefficient depends only on (eigenvalue, order), so one option covers all
+chains of an eigenvalue. Restricting a slot's choices to P only or N only
+realizes every mode-restricted variant used downstream.
+
+Sums are evaluated in Jordan coordinates: with X_j = V_j J_j V_j^-1 every
+factor is V_j E V_j^-1 for a 0/1 shift E, so a term needs no dense
+product of its own, only row and column moves (see ``eval_slot_sum``).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
 from dataclasses import dataclass
 
-from .numerics import Matrix, mat_mul
+from .numerics import QC, Matrix, mat_mul, scalar
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -37,33 +43,45 @@ def effective_budget(budget=None):
     return DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlotChoice:
+    """One option of a slot: a distinct eigenvalue of ``dec`` and an order
+    q below its longest chain. ``pairs`` are the positions of the ones of
+    the 0/1 matrix E, the q-th shift power on the eigenvalue's chains in
+    the column order of ``dec.transform``; the slot factor is V E V^-1."""
     eigenvalue: object
-    factor: Matrix
     order: int
-    block: object       # SpectralBlock
+    pairs: tuple
+    dec: object         # JordanDecomposition
+
+    @functools.cached_property
+    def factor(self):
+        """The dense factor V E V^-1: the projector P for order 0, else
+        the nilpotent power N**q."""
+        dec = self.dec
+        rows = [[_zero(dec.exact)] * dec.dim for _ in range(dec.dim)]
+        for i, k in self.pairs:
+            rows[i] = dec.transform_inv.rows[k]
+        return mat_mul(dec.transform, Matrix(rows, exact=dec.exact))
+
+
+def _zero(exact):
+    return QC(0) if exact else 0j
 
 
 def slot_options(dec, mode="full"):
-    """Choices for one slot of a spectral sum: (eigenvalue, factor, order)
-    per block, where factor is P (order 0) or N**q (1 <= q < m).
+    """Choices for one slot of a spectral sum: (eigenvalue, order) per
+    distinct eigenvalue, order 0 for P and 1 <= q < m for N**q, where m is
+    the eigenvalue's longest chain.
 
     mode: "full" (both), "P" (projectors only), "N" (nilpotent powers only).
     """
     if mode not in ("full", "P", "N"):
         raise ValueError(f"unknown slot mode {mode!r}")
-    opts = []
-    for b in dec.blocks:
-        if mode in ("full", "P"):
-            opts.append(SlotChoice(b.eigenvalue, b.projector, 0, b))
-        if mode in ("full", "N"):
-            npow = b.nilpotent
-            for q in range(1, b.order):
-                opts.append(SlotChoice(b.eigenvalue, npow, q, b))
-                if q + 1 < b.order:
-                    npow = mat_mul(npow, b.nilpotent)
-    return opts
+    first = 1 if mode == "N" else 0
+    return [SlotChoice(comp.eigenvalue, q, comp.shifts[q], dec)
+            for comp in dec.components
+            for q in range(first, 1 if mode == "P" else comp.order)]
 
 
 def count_terms(option_lists):
@@ -73,6 +91,14 @@ def count_terms(option_lists):
     return c
 
 
+def _add_column_shift(acc, m, pairs):
+    """acc += m E, for the 0/1 matrix E with ones at ``pairs``: column i of
+    m is added to column k of acc for each (i, k)."""
+    for row, mrow in zip(acc, m):
+        for i, k in pairs:
+            row[k] = row[k] + mrow[i]
+
+
 def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
                   exact=False, budget=None):
     """Sum over all per-slot choice combinations of
@@ -80,8 +106,13 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     the A_j are the ``interleave`` matrices (absent when None), and
     coeff = symbol.partial(orders, eigenvalues) / prod(orders!).
 
-    Summation order is the lexicographic product of the option lists, which
-    are themselves in canonical block order: deterministic.
+    Each option list comes from one decomposition X_j = V_j J_j V_j^-1, so
+    F_j = V_j E_j V_j^-1 and the sum is V_1 [sum coeff E_1 B_1 ... E_r B_r]
+    with B_j = V_j^-1 A_j V_{j+1} for j < r and B_r = V_r^-1. Multiplying
+    by an E_j moves rows or columns. The contraction runs depth-first from
+    the last slot inward: for each choice of the outer options, the first
+    slot sums row-shifted copies of B_1; each later slot sums
+    column-shifted partial products and multiplies the sum by its B_j.
     """
     budget = effective_budget(budget)
     needed = count_terms(option_lists)
@@ -93,42 +124,64 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     if len(interleave) != r - 1:
         raise ValueError("need one interleaved argument between slots")
     if dim is None:
-        dim = option_lists[0][0].factor.dim
-    out = Matrix.zeros(dim, exact)
+        dim = option_lists[0][0].dec.dim
+    if not needed:
+        return Matrix.zeros(dim, exact)
+    decs = [opts[0].dec for opts in option_lists]
+    basis = []
+    for j in range(r - 1):
+        left = decs[j].transform_inv
+        if interleave[j] is not None:
+            left = mat_mul(left, interleave[j])
+        basis.append(mat_mul(left, decs[j + 1].transform))
+    basis.append(decs[-1].transform_inv)
+    first = basis[0].rows
+    zero = _zero(exact)
     lams = [None] * r
     orders = [0] * r
-    # depth-first over slots, sharing prefix products across the subtree
-    def walk(j, prefix):
-        nonlocal out
+
+    def coefficient():
+        coeff = symbol.partial(orders, lams)
+        if not coeff:
+            return None
+        denom = 1
+        for q in orders:
+            denom *= math.factorial(q)
+        if denom != 1:
+            coeff = coeff / denom
+        return scalar(coeff, exact)
+
+    def contract(j):
+        """sum over the options of slots 1..j of coeff E_1 B_1 ... E_j B_j
+        for the options chosen in the later slots, as rows; None when
+        every coefficient vanishes."""
+        acc = None
         for choice in option_lists[j]:
             lams[j] = choice.eigenvalue
             orders[j] = choice.order
-            if prefix is None:
-                pre = choice.factor
-            else:
-                pre = prefix
-                if interleave[j - 1] is not None:
-                    pre = mat_mul(pre, interleave[j - 1])
-                pre = mat_mul(pre, choice.factor)
-            if j == r - 1:
-                coeff = symbol.partial(orders, lams)
-                if not coeff:
+            if j == 0:
+                c = coefficient()
+                if c is None:
                     continue
-                denom = 1
-                for q in orders:
-                    denom *= math.factorial(q)
-                if denom != 1:
-                    coeff = coeff / denom
-                out = out + pre.scale(coeff)
+                if acc is None:
+                    acc = [[zero] * dim for _ in range(dim)]
+                for i, k in choice.pairs:
+                    acc[i] = [x + c * y for x, y in zip(acc[i], first[k])]
             else:
-                walk(j + 1, pre)
-    walk(0, None)
-    return out
+                m = contract(j - 1)
+                if m is None:
+                    continue
+                if acc is None:
+                    acc = [[zero] * dim for _ in range(dim)]
+                _add_column_shift(acc, m, choice.pairs)
+        if acc is None or j == 0:
+            return acc
+        return mat_mul(Matrix(acc, exact=exact), basis[j]).rows
 
-
-def enumerate_selections(r, kappa):
-    """All kappa-element index selections from {1, ..., r}, lexicographic."""
-    return list(itertools.combinations(range(1, r + 1), kappa))
+    total = contract(r - 1)
+    if total is None:
+        return Matrix.zeros(dim, exact)
+    return mat_mul(decs[0].transform, Matrix(total, exact=exact))
 
 
 def eval_univariate(f, dec, budget=None):

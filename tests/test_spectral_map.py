@@ -1,16 +1,21 @@
 """Spectral-sum evaluation of matrix functions: univariate/multivariate
 correctness against direct polynomial evaluation, and the term budget."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gmoical import (BudgetExceededError, Matrix, decompose,
-                     effective_budget, eval_multivariate, eval_univariate,
-                     frobenius_norm, gen_fixture, mat_mul,
-                     multivariate_polynomial, polynomial, slot_options)
+from gmoical import (BudgetExceededError, GmoiProblem, Matrix, decompose,
+                     effective_budget, eval_gmoi, eval_multivariate,
+                     eval_univariate, frobenius_norm, gen_fixture,
+                     lift_divided_difference, mat_mul, moi_as_spectral_map,
+                     multivariate_polynomial, polynomial, product_symbol,
+                     random_matrix, slot_options)
+from gmoical.spectral_map import eval_slot_sum
 from conftest import draw_fixture, horner
+from slot_sum_reference import chain_pattern_sums, restrict
 
 
 class TestUnivariate:
@@ -106,3 +111,99 @@ class TestBudget:
         monkeypatch.setenv("GMOI_BUDGET", "123")
         assert effective_budget(None) == 123
         assert effective_budget(7) == 7
+
+
+# Several chains per eigenvalue, so that one per-eigenvalue option covers
+# chains of different lengths; by dimension.
+MULTI_CHAIN = {
+    3: ([(1, [2, 1])], [(0, [1, 1, 1])]),
+    4: ([(1, [2, 1]), (-1, [1])], [(2, [1, 1]), (0, [2])]),
+    5: ([(1, [3, 1]), (0, [1])], [(2, [2, 2]), (-1, [1])]),
+    6: ([(1, [3, 1]), (0, [1, 1])], [(2, [2, 2]), (-1, [1, 1])]),
+}
+
+
+def _multi_chain_decs(count, dim, exact, rng):
+    decs = []
+    for _ in range(count):
+        structure = [(Fraction(lam) if exact else complex(lam), lengths)
+                     for lam, lengths in rng.choice(MULTI_CHAIN[dim])]
+        decs.append(gen_fixture(structure, seed=rng.randrange(2 ** 30),
+                                exact=exact)[1])
+    return decs
+
+
+def _coeffs(rng, exact, degree=5):
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(degree + 1)]
+    return coeffs if exact else [float(c) for c in coeffs]
+
+
+def _assert_matches(got, want, exact):
+    if exact:
+        assert got == want
+    else:
+        err = frobenius_norm(got - want) / max(frobenius_norm(want), 1.0)
+        assert err <= 1e-12
+
+
+class TestJordanCoordinates:
+    """The per-eigenvalue evaluation in Jordan coordinates against the
+    dense per-chain walk of ``slot_sum_reference``."""
+
+    # (zeta, exact dim, float dim): exact arithmetic on dense per-chain
+    # terms is slow, so exact mode keeps the larger zeta to dim 3
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("zeta,exact_dim,float_dim",
+                             [(0, 6, 6), (1, 4, 6), (2, 3, 5), (3, 3, 4)])
+    def test_gmoi_every_pattern(self, exact, zeta, exact_dim, float_dim):
+        rng = random.Random(10 * zeta + exact)
+        decs = _multi_chain_decs(zeta + 1, exact_dim if exact else float_dim,
+                                 exact, rng)
+        dim = decs[0].dim
+        f = polynomial(_coeffs(rng, exact))
+        if zeta == 0:
+            want = chain_pattern_sums(f, decs, [])
+            for mode in ("P", "N", "full"):
+                _assert_matches(
+                    eval_slot_sum(f, [slot_options(decs[0], mode)],
+                                  dim=dim, exact=exact),
+                    restrict(want, (mode,), dim, exact), exact)
+            _assert_matches(eval_univariate(f, decs[0]),
+                            restrict(want, ("full",), dim, exact), exact)
+            return
+        beta = lift_divided_difference(f, zeta)
+        args = [random_matrix(rng, dim, exact=exact) for _ in range(zeta)]
+        problem = GmoiProblem(beta, decs, args)
+        want = chain_pattern_sums(beta, decs, args)
+        patterns = (itertools.product(("P", "N", "full"), repeat=zeta + 1)
+                    if zeta <= 2 else [("full",) * (zeta + 1)])
+        for modes in patterns:
+            _assert_matches(eval_gmoi(problem, modes=modes),
+                            restrict(want, modes, dim, exact), exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_multivariate_without_arguments(self, exact):
+        rng = random.Random(40 + exact)
+        decs = _multi_chain_decs(3, 4, exact, rng)
+        f = multivariate_polynomial(3, [(2, (2, 1, 0)), (-1, (0, 3, 1)),
+                                        (1, (1, 1, 2))])
+        want = chain_pattern_sums(f, decs, [None, None])
+        _assert_matches(eval_multivariate(f, decs),
+                        restrict(want, ("full",) * 3, 4, exact), exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_moi_as_spectral_map(self, exact):
+        # the argument enters through its own decomposition; the product
+        # symbol is linear in it, so the result is also the integral with
+        # the reconstructed argument
+        rng = random.Random(50 + exact)
+        x1, y, x2 = _multi_chain_decs(3, 4, exact, rng)
+        beta = lift_divided_difference(polynomial(_coeffs(rng, exact, 3)), 1)
+        got = moi_as_spectral_map(beta, [x1, x2], [y])
+        want = chain_pattern_sums(product_symbol(beta, 1), [x1, y, x2],
+                                  [None, None])
+        _assert_matches(got, restrict(want, ("full",) * 3, 4, exact), exact)
+        _assert_matches(got, eval_gmoi(GmoiProblem(beta, [x1, x2],
+                                                   [y.reconstruct()])),
+                        exact)
