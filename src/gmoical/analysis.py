@@ -8,7 +8,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import GmoiProblem, eval_gmoi
+from .engine import (GmoiProblem, NilpotentPattern, eval_gmoi,
+                     pattern_terms)
 from .jordan import decompose
 from .numerics import Matrix, frobenius_norm, mat_mul
 from .spectral_map import (BudgetExceededError, effective_budget,
@@ -94,18 +95,20 @@ def _pattern_upper(problem, pattern):
     return scalar_total * w_sel * w_unsel, scalar_total
 
 
+def _pattern_uppers(problem):
+    """``_pattern_upper`` of each nilpotent pattern, in pattern order."""
+    r = problem.zeta + 1
+    return [_pattern_upper(problem, NilpotentPattern(i, r))
+            for i in range(2 ** r)]
+
+
 def norm_report(problem, budget=None):
     """Per-pattern actual norms and upper bounds, the summed upper bound,
     and both lower bounds."""
-    from .engine import pattern_terms
     terms = pattern_terms(problem, budget=budget)
     per_norm = [frobenius_norm(t) for _, t in terms]
-    per_up = []
-    ups_scalar = 0.0
-    for pat, _ in terms:
-        up, sc = _pattern_upper(problem, pat)
-        per_up.append(up)
-        ups_scalar += sc
+    uppers = _pattern_uppers(problem)
+    per_up = [up for up, _ in uppers]
     total = Matrix.zeros(problem.dim, problem.exact)
     for _, t in terms:
         total = total + t
@@ -129,27 +132,18 @@ def norm_report(problem, budget=None):
                            sorted_lower=sorted_lower,
                            min_beta_lower=min_beta_lower,
                            condition_holds=condition,
-                           upsilon=ups_scalar)
-
-
-def upper_bound(problem, budget=None):
-    return norm_report(problem, budget=budget)
-
-
-def lower_bound(problem, budget=None):
-    return norm_report(problem, budget=budget)
+                           upsilon=sum(sc for _, sc in uppers))
 
 
 def lipschitz_check(problem, args_alt, budget=None):
     """(actual, bound) for |T(Y) - T(Y')| with Y = problem.args and
     Y' = args_alt: telescoping bound with the scalar coefficient of the
-    norm report applied slot by slot."""
+    norm report (upsilon) applied slot by slot."""
     zeta = problem.zeta
     args_alt = tuple(args_alt)
     if len(args_alt) != zeta:
         raise AnalysisError("need one alternate argument per slot")
-    rep = norm_report(problem, budget=budget)
-    ups = rep.upsilon
+    ups = sum(sc for _, sc in _pattern_uppers(problem))
     ny = [frobenius_norm(y) for y in problem.args]
     ny2 = [frobenius_norm(y) for y in args_alt]
     bound = 0.0
@@ -303,33 +297,43 @@ class PerturbationReport:
     residual: float
 
 
-def perturbation_check_gdoi(beta1, beta2, c_dec, d_dec, x1_dec, y,
-                            budget=None):
-    """Residual of the first-order (one argument) perturbation identity:
-    T_{b2}^{C,D,X1}(C-D, Y) against the difference of the order-1
-    integrals plus the four named corrections and two trailing
-    nilpotent-restricted terms."""
-    cmat = c_dec.reconstruct()
-    dmat = d_dec.reconstruct()
-    diff = cmat - dmat
-    lhs = eval_gmoi(GmoiProblem(beta2, (c_dec, d_dec, x1_dec), (diff, y)),
+def _perturbation_report(beta_small, beta_big, params, j, c_dec, d_dec, args,
+                         budget):
+    """The perturbation identity with the C/D pair in slot j of the
+    zeta + 1 slots, between parameters j - 1 and j (1-based) of
+    ``params``; j = 1 has no left flank."""
+    diff = c_dec.reconstruct() - d_dec.reconstruct()
+    before, after = params[:j - 1], params[j - 1:]
+    params_big = before + [c_dec, d_dec] + after
+    args_big = args[:j - 1] + [diff] + args[j - 1:]
+    lhs = eval_gmoi(GmoiProblem(beta_big, params_big, args_big),
                     budget=budget)
-    main = (eval_gmoi(GmoiProblem(beta1, (c_dec, x1_dec), (y,)),
-                      budget=budget)
-            - eval_gmoi(GmoiProblem(beta1, (d_dec, x1_dec), (y,)),
-                        budget=budget))
+    main = (eval_gmoi(GmoiProblem(beta_small, before + [c_dec] + after,
+                                  args), budget=budget)
+            - eval_gmoi(GmoiProblem(beta_small, before + [d_dec] + after,
+                                    args), budget=budget))
     corrections = {}
-    for nil_pair, pair_tag in ((False, "C_P,D_P"), (True, "C_N,D_N")):
-        for mode1 in ("P", "N"):
-            label = f"X[{pair_tag},X1_{mode1}]"
-            corrections[label] = operational_cross_term(
-                beta1, beta2, [(x1_dec, mode1)], 0, c_dec, d_dec,
-                nil_pair, [y], budget=budget)
     trailing = {}
-    for mode1 in ("P", "N"):
-        trailing[f"T[C_N,D_N,X1_{mode1}]"] = eval_gmoi(
-            GmoiProblem(beta2, (c_dec, d_dec, x1_dec), (diff, y)),
-            modes=("N", "N", mode1), budget=budget)
+    for left in ("P", "N") if j > 1 else (None,):
+        flank = [(p, "full") for p in params]
+        tag = ""
+        if left:
+            flank[j - 2] = (params[j - 2], left)
+            tag = f"X{j - 1}_{left},"
+        for nil_pair, pair_tag in ((False, "C_P,D_P"), (True, "C_N,D_N")):
+            for right in ("P", "N"):
+                flank[j - 1] = (params[j - 1], right)
+                corrections[f"X[{tag}{pair_tag},X{j}_{right}]"] = \
+                    operational_cross_term(beta_small, beta_big, flank,
+                                           j - 1, c_dec, d_dec, nil_pair,
+                                           args, budget=budget)
+        for right in ("P", "N"):
+            flank[j - 1] = (params[j - 1], right)
+            modes = [m for _, m in flank]
+            trailing[f"T[{tag}C_N,D_N,X{j}_{right}]"] = eval_gmoi(
+                GmoiProblem(beta_big, params_big, args_big),
+                modes=modes[:j - 1] + ["N", "N"] + modes[j - 1:],
+                budget=budget)
     rhs = main
     for m in corrections.values():
         rhs = rhs + m
@@ -338,6 +342,16 @@ def perturbation_check_gdoi(beta1, beta2, c_dec, d_dec, x1_dec, y,
     return PerturbationReport(lhs=lhs, rhs_main=main, corrections=corrections,
                               trailing=trailing, rhs_total=rhs,
                               residual=frobenius_norm(lhs - rhs))
+
+
+def perturbation_check_gdoi(beta1, beta2, c_dec, d_dec, x1_dec, y,
+                            budget=None):
+    """Residual of the first-order (one argument) perturbation identity:
+    T_{b2}^{C,D,X1}(C-D, Y) against the difference of the order-1
+    integrals plus the four named corrections and two trailing
+    nilpotent-restricted terms."""
+    return _perturbation_report(beta1, beta2, [x1_dec], 1, c_dec, d_dec,
+                                [y], budget)
 
 
 def perturbation_check_general(beta_small, beta_big, params, j, c_dec, d_dec,
@@ -349,53 +363,14 @@ def perturbation_check_general(beta_small, beta_big, params, j, c_dec, d_dec,
     args: the zeta argument matrices (without the C-D argument).
     """
     params = list(params)
-    args = list(args)
     zeta = len(params)
     if zeta < 2 or not 2 <= j <= zeta:
         raise AnalysisError(
             f"slot j={j} needs 2 <= j <= zeta={zeta} (interior pair)")
     if beta_small.arity != zeta + 1 or beta_big.arity != zeta + 2:
         raise AnalysisError("divided-difference lift orders do not match")
-    cmat = c_dec.reconstruct()
-    dmat = d_dec.reconstruct()
-    diff = cmat - dmat
-    params_big = params[:j - 1] + [c_dec, d_dec] + params[j - 1:]
-    args_big = args[:j - 1] + [diff] + args[j - 1:]
-    lhs = eval_gmoi(GmoiProblem(beta_big, params_big, args_big),
-                    budget=budget)
-    main = (eval_gmoi(GmoiProblem(beta_small,
-                                  params[:j - 1] + [c_dec] + params[j - 1:],
-                                  args), budget=budget)
-            - eval_gmoi(GmoiProblem(beta_small,
-                                    params[:j - 1] + [d_dec] + params[j - 1:],
-                                    args), budget=budget))
-    corrections = {}
-    for left in ("P", "N"):
-        for nil_pair, pair_tag in ((False, "C_P,D_P"), (True, "C_N,D_N")):
-            for right in ("P", "N"):
-                slots = ([(p, "full") for p in params[:j - 2]]
-                         + [(params[j - 2], left), (params[j - 1], right)]
-                         + [(p, "full") for p in params[j:]])
-                label = f"X[X{j - 1}_{left},{pair_tag},X{j}_{right}]"
-                corrections[label] = operational_cross_term(
-                    beta_small, beta_big, slots, j - 1, c_dec, d_dec,
-                    nil_pair, args, budget=budget)
-    trailing = {}
-    for left in ("P", "N"):
-        for right in ("P", "N"):
-            modes = (("full",) * (j - 2) + (left, "N", "N", right)
-                     + ("full",) * (zeta - j))
-            trailing[f"T[X{j - 1}_{left},C_N,D_N,X{j}_{right}]"] = eval_gmoi(
-                GmoiProblem(beta_big, params_big, args_big), modes=modes,
-                budget=budget)
-    rhs = main
-    for m in corrections.values():
-        rhs = rhs + m
-    for m in trailing.values():
-        rhs = rhs + m
-    return PerturbationReport(lhs=lhs, rhs_main=main, corrections=corrections,
-                              trailing=trailing, rhs_total=rhs,
-                              residual=frobenius_norm(lhs - rhs))
+    return _perturbation_report(beta_small, beta_big, params, j, c_dec,
+                                d_dec, list(args), budget)
 
 
 # ---------------------------------------------------------------------------

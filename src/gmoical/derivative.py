@@ -47,10 +47,6 @@ class ParameterPattern:
     def __len__(self):
         return len(self.slots)
 
-    @property
-    def count_x(self):
-        return sum(1 for s in self.slots if s == X)
-
     def positions(self):
         """1-based positions of each plain-X slot, in order."""
         return tuple(j + 1 for j, s in enumerate(self.slots) if s == X)
@@ -60,10 +56,6 @@ class ParameterPattern:
 class GmoiTerm:
     coeff: int
     pattern: ParameterPattern       # over {X, X_N} only
-
-    @property
-    def dd_order(self):
-        return len(self.pattern) - 1
 
 
 @dataclass(frozen=True)

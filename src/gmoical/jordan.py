@@ -1,18 +1,21 @@
 """Jordan-structure decomposition of small matrices.
 
-A decomposition carries, per Jordan chain, the (non-orthogonal) spectral
-projector P and nilpotent part N obtained from a similarity X = V J V^-1:
-P selects the chain's columns of V, N is the shift on those columns. The
-resolution of identity sum(P) = I and X = sum(lambda P + N) hold by
-construction; ``validate`` measures the residuals. ``components`` groups
-the chains per distinct eigenvalue as column index pairs of the shift
+A decomposition is a similarity X = V J V^-1: the transform V, its
+inverse, and per Jordan chain the eigenvalue, the first column in V and
+the chain length. Every spectral matrix is V E V^-1 for a 0/1 matrix E
+(``shift_factor``): a chain's (non-orthogonal) projector P selects its
+columns, its nilpotent part N shifts them, and both are built on first
+access. The resolution of identity sum(P) = I and X = sum(lambda P + N)
+hold by construction; ``validate`` measures the residuals.
+``components`` groups the chains per distinct eigenvalue, by exact
+equality of the stored eigenvalue, as column index pairs of the shift
 powers, which is what the slot sums of :mod:`spectral_map` use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import (Matrix, QC, SingularMatrixError, frobenius_norm,
@@ -23,15 +26,45 @@ class DecompositionError(ValueError):
     pass
 
 
+def shift_factor(v, v_inv, pairs):
+    """V E V^-1 for the 0/1 matrix E with ones at ``pairs`` (i, k).
+
+    Multiplied as (V E) V^-1: V (E V^-1) has the same nonzero entries in
+    float mode but can flip the sign of zero ones, which the float
+    ``decompose`` output prints."""
+    zero, one = (QC(0), QC(1)) if v.exact else (0j, 1 + 0j)
+    e = [[zero] * v.dim for _ in range(v.dim)]
+    for i, k in pairs:
+        e[i][k] = one
+    return mat_mul(mat_mul(v, Matrix(e, exact=v.exact)), v_inv)
+
+
 @dataclass(frozen=True)
 class SpectralBlock:
     """One Jordan chain: eigenvalue, chain index within the eigenvalue,
-    projector, nilpotent part, and chain length (nilpotency order)."""
+    chain length (nilpotency order) and first column in the transform V.
+    The projector and nilpotent part are built from V on first access."""
     eigenvalue: object          # complex or QC
     block_index: int            # i, 1-based within the eigenvalue
-    projector: Matrix
-    nilpotent: Matrix
     order: int                  # m >= 1; N**m == 0
+    start: int                  # the chain's columns are start..start+m-1
+    transform: Matrix = field(compare=False, repr=False)
+    transform_inv: Matrix = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def projector(self):
+        """P = V E V^-1, E selecting the chain's columns."""
+        cols = range(self.start, self.start + self.order)
+        return shift_factor(self.transform, self.transform_inv,
+                            [(c, c) for c in cols])
+
+    @functools.cached_property
+    def nilpotent(self):
+        """N = V S V^-1, S the shift on the chain's columns (zero for a
+        chain of length 1)."""
+        cols = range(self.start, self.start + self.order - 1)
+        return shift_factor(self.transform, self.transform_inv,
+                            [(c, c + 1) for c in cols])
 
     @functools.cached_property
     def powers(self):
@@ -53,6 +86,7 @@ class SpectralComponent:
     eigenvalue's projector P, and on ``shifts[q]`` its nilpotent power
     N**q."""
     eigenvalue: object
+    blocks: tuple               # the eigenvalue's SpectralBlocks
     shifts: tuple
 
     @property
@@ -68,49 +102,32 @@ class JordanDecomposition:
     transform: Matrix            # V
     transform_inv: Matrix
     exact: bool
-    tolerance_used: float = 0.0
 
     @functools.cached_property
     def components(self):
         """One SpectralComponent per distinct eigenvalue, in block order.
         Chains group by exact equality of their stored eigenvalue."""
-        spans = {}
-        col = 0
+        groups = {}
         for b in self.blocks:
-            spans.setdefault(b.eigenvalue, []).append((col, b.order))
-            col += b.order
+            groups.setdefault(b.eigenvalue, []).append(b)
         return tuple(
-            SpectralComponent(lam, tuple(
-                tuple((s + k, s + k + q) for s, m in chains
-                      for k in range(m - q))
-                for q in range(max(m for _, m in chains))))
-            for lam, chains in spans.items())
+            SpectralComponent(lam, tuple(chains), tuple(
+                tuple((b.start + k, b.start + k + q) for b in chains
+                      for k in range(b.order - q))
+                for q in range(max(b.order for b in chains))))
+            for lam, chains in groups.items())
 
     @property
     def eigenvalues(self):
         """Distinct eigenvalues, in block order."""
-        seen = []
-        for b in self.blocks:
-            if not any(_same_eig(b.eigenvalue, e, self.exact,
-                                 self.tolerance_used) for e in seen):
-                seen.append(b.eigenvalue)
-        return seen
-
-    @property
-    def distinct_count(self):
-        return len(self.eigenvalues)
+        return [c.eigenvalue for c in self.components]
 
     def signature(self):
         """Structure fingerprint: tuple of (chain lengths) grouped per
         distinct eigenvalue, in block order. Two decompositions of nearby
         matrices are 'structure-stable' when signatures agree."""
-        sig = []
-        for e in self.eigenvalues:
-            lens = tuple(b.order for b in self.blocks
-                         if _same_eig(b.eigenvalue, e, self.exact,
-                                      self.tolerance_used))
-            sig.append(lens)
-        return tuple(sig)
+        return tuple(tuple(b.order for b in c.blocks)
+                     for c in self.components)
 
     def reconstruct(self):
         out = Matrix.zeros(self.dim, self.exact)
@@ -164,43 +181,6 @@ class JordanDecomposition:
         return res
 
 
-def _same_eig(a, b, exact, tol):
-    if exact:
-        return a == b
-    return abs(a - b) <= max(tol * 10, 1e-9)
-
-
-def _blocks_from_similarity(v, v_inv, chains, exact):
-    """chains: list of (eigenvalue, start_col, length)."""
-    n = v.dim
-    blocks = []
-    counts = {}
-    zero = QC(0) if exact else 0j
-    one = QC(1) if exact else 1 + 0j
-    for lam, start, length in chains:
-        key = _eig_key(lam)
-        counts[key] = counts.get(key, 0) + 1
-        sel = [[zero] * n for _ in range(n)]
-        shift = [[zero] * n for _ in range(n)]
-        for c in range(start, start + length):
-            sel[c][c] = one
-        for c in range(start, start + length - 1):
-            shift[c][c + 1] = one      # J e_{c+1} picks up e_c superdiagonal
-        p = mat_mul(mat_mul(v, Matrix(sel, exact=exact)), v_inv)
-        nmat = mat_mul(mat_mul(v, Matrix(shift, exact=exact)), v_inv)
-        blocks.append(SpectralBlock(eigenvalue=lam,
-                                    block_index=counts[key],
-                                    projector=p, nilpotent=nmat,
-                                    order=length))
-    return tuple(blocks)
-
-
-def _eig_key(lam):
-    if isinstance(lam, QC):
-        return (lam.re, lam.im)
-    return (round(lam.real, 9), round(lam.imag, 9))
-
-
 def _sort_chains(chains, exact):
     # eigenvalues lexicographically by (Re, Im), then longer chains first
     def key(ch):
@@ -213,14 +193,13 @@ def _sort_chains(chains, exact):
     return sorted(chains, key=key)
 
 
-def from_structure(structure, transform, exact=False, tol=1e-9):
+def from_structure(structure, transform, exact=False):
     """Build a decomposition from a prescribed structure.
 
     structure: list of (eigenvalue, [chain lengths...]) pairs;
     transform: the similarity V whose columns are the Jordan chains, in
     structure order.
     """
-    v = transform
     chains = []
     col = 0
     for lam, lengths in structure:
@@ -228,29 +207,28 @@ def from_structure(structure, transform, exact=False, tol=1e-9):
         for m in lengths:
             chains.append((lam, col, m))
             col += m
-    if col != v.dim:
+    if col != transform.dim:
         raise DecompositionError(
-            f"structure covers {col} columns but matrix has dim {v.dim}")
-    chains_sorted = _sort_chains(chains, exact)
+            f"structure covers {col} columns but matrix has dim "
+            f"{transform.dim}")
+    chains = _sort_chains(chains, exact)
     # re-pack V columns to the sorted chain order
-    perm = []
-    for lam, start, length in chains_sorted:
-        perm.extend(range(start, start + length))
-    rows = [[v.rows[i][j] for j in perm] for i in range(v.dim)]
-    v2 = Matrix(rows, exact=exact)
+    perm = [c for _, start, m in chains for c in range(start, start + m)]
+    v = Matrix([[row[j] for j in perm] for row in transform.rows],
+               exact=exact)
     try:
-        v2_inv = inverse(v2)
+        v_inv = inverse(v)
     except SingularMatrixError as e:
         raise DecompositionError(f"transform is singular: {e}") from e
-    chains2 = []
+    blocks = []
+    counts = {}
     col = 0
-    for lam, _start, length in chains_sorted:
-        chains2.append((lam, col, length))
-        col += length
-    blocks = _blocks_from_similarity(v2, v2_inv, chains2, exact)
-    return JordanDecomposition(dim=v.dim, blocks=blocks, transform=v2,
-                               transform_inv=v2_inv, exact=exact,
-                               tolerance_used=0.0 if exact else tol)
+    for lam, _, m in chains:
+        counts[lam] = counts.get(lam, 0) + 1
+        blocks.append(SpectralBlock(lam, counts[lam], m, col, v, v_inv))
+        col += m
+    return JordanDecomposition(dim=v.dim, blocks=tuple(blocks), transform=v,
+                               transform_inv=v_inv, exact=exact)
 
 
 def _decompose_auto_float(x, tol):
@@ -268,7 +246,8 @@ def _decompose_auto_float(x, tol):
                 break
         else:
             clusters.append([e])
-    chains = []       # (lambda, list of chain column vectors)
+    structure = []    # (lambda, [chain lengths]) per cluster
+    cols = []         # the chain vectors, in structure order
     for cl in clusters:
         lam = complex(np.mean(cl))
         mult = len(cl)
@@ -290,27 +269,14 @@ def _decompose_auto_float(x, tol):
             lengths.extend([length] * cnt)
         # build chains: top vectors from ker b^m modulo ker b^(m-1)
         chain_vecs = _chain_vectors(b, lengths, thr)
-        for vecs in chain_vecs:
-            chains.append((lam, vecs))
-    chains = sorted(chains, key=lambda c: (c[0].real, c[0].imag, -len(c[1])))
-    v_cols = []
-    packed = []
-    col = 0
-    for lam, vecs in chains:
-        packed.append((lam, col, len(vecs)))
-        col += len(vecs)
-        v_cols.extend(vecs)
-    v = np.column_stack(v_cols)
-    vm = Matrix.from_numpy(v)
-    try:
-        vm_inv = inverse(vm)
-    except SingularMatrixError as e:
+        structure.append((lam, [len(vecs) for vecs in chain_vecs]))
+        cols.extend(vec for vecs in chain_vecs for vec in vecs)
+    if len(cols) != n:
         raise DecompositionError(
-            f"auto decomposition produced singular transform: {e}") from e
-    blocks = _blocks_from_similarity(vm, vm_inv, packed, False)
-    return JordanDecomposition(dim=n, blocks=blocks, transform=vm,
-                               transform_inv=vm_inv, exact=False,
-                               tolerance_used=tol)
+            f"auto decomposition found {len(cols)} chain vectors for a "
+            f"matrix of dim {n}: its rank decisions are inconsistent at "
+            f"this tolerance")
+    return from_structure(structure, Matrix.from_numpy(np.column_stack(cols)))
 
 
 def _null_basis(m, thr):
@@ -408,7 +374,7 @@ def decompose(x, tol=1e-9, mode="auto", structure=None, transform=None):
         if structure is None or transform is None:
             raise DecompositionError(
                 "prescribed mode needs structure and transform")
-        dec = from_structure(structure, transform, exact=x.exact, tol=tol)
+        dec = from_structure(structure, transform, exact=x.exact)
         resid = frobenius_norm(dec.reconstruct() - x)
         limit = 0 if x.exact else max(tol, 1e-9) * max(1.0, x.max_abs()) * 100
         if resid > limit:

@@ -323,14 +323,6 @@ class Matrix:
             k >>= 1
         return out
 
-    def conj_transpose(self):
-        if self.exact:
-            return Matrix([[self.rows[j][i].conjugate()
-                            for j in range(self.dim)]
-                           for i in range(self.dim)], exact=True)
-        return Matrix([[self.rows[j][i].conjugate() for j in range(self.dim)]
-                       for i in range(self.dim)], exact=False)
-
     # -- predicates / norms -------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Matrix):

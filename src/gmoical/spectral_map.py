@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .jordan import shift_factor
 from .numerics import QC, Matrix, mat_mul, scalar
 
 DEFAULT_BUDGET = 10_000_000
@@ -58,15 +59,8 @@ class SlotChoice:
     def factor(self):
         """The dense factor V E V^-1: the projector P for order 0, else
         the nilpotent power N**q."""
-        dec = self.dec
-        rows = [[_zero(dec.exact)] * dec.dim for _ in range(dec.dim)]
-        for i, k in self.pairs:
-            rows[i] = dec.transform_inv.rows[k]
-        return mat_mul(dec.transform, Matrix(rows, exact=dec.exact))
-
-
-def _zero(exact):
-    return QC(0) if exact else 0j
+        return shift_factor(self.dec.transform, self.dec.transform_inv,
+                            self.pairs)
 
 
 def slot_options(dec, mode="full"):
@@ -136,7 +130,7 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
         basis.append(mat_mul(left, decs[j + 1].transform))
     basis.append(decs[-1].transform_inv)
     first = basis[0].rows
-    zero = _zero(exact)
+    zero = QC(0) if exact else 0j
     lams = [None] * r
     orders = [0] * r
 

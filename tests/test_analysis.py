@@ -103,6 +103,27 @@ class TestLipschitz:
         actual, _ = lipschitz_check(GmoiProblem(beta, decs, args), args)
         assert actual == 0.0
 
+    def test_bound_is_telescoped_upsilon(self):
+        rng = random.Random(6)
+        for zeta in (1, 2):
+            decs = [draw_fixture(rng, 3, max_block=2)[1]
+                    for _ in range(zeta + 1)]
+            args = [float_matrix(rng, 3) for _ in range(zeta)]
+            alt = [float_matrix(rng, 3) for _ in range(zeta)]
+            problem = GmoiProblem(_poly_lift(rng, zeta, exact=False), decs,
+                                  args)
+            _, bound = lipschitz_check(problem, alt)
+            ups = norm_report(problem).upsilon
+            want = 0.0
+            for i in range(zeta):
+                term = ups * frobenius_norm(args[i] - alt[i])
+                for j in range(i):
+                    term *= frobenius_norm(alt[j])
+                for j in range(i + 1, zeta):
+                    term *= frobenius_norm(args[j])
+                want += term
+            assert bound == want
+
     def test_shape_mismatch(self):
         rng = random.Random(4)
         decs = [draw_fixture(rng, 2, max_block=1, exact=True)[1]
@@ -119,6 +140,14 @@ def _size2_fixtures(exact=True):
                        exact=exact)
     _, x1 = gen_fixture([(Fraction(-1), [2]), (Fraction(3), [2])], seed=5,
                         exact=exact)
+    return c, d, x1
+
+
+def _small_pair_fixtures():
+    _, c = gen_fixture([(Fraction(1), [2]), (Fraction(-1), [1])], seed=3,
+                       exact=True)
+    _, d = gen_fixture([(Fraction(0), [3])], seed=4, exact=True)
+    _, x1 = gen_fixture([(Fraction(1), [2, 1])], seed=6, exact=True)
     return c, d, x1
 
 
@@ -218,6 +247,56 @@ class TestPerturbation:
         assert rep.residual == 0.0
         assert len(rep.corrections) == 8
         assert len(rep.trailing) == 4
+
+    def test_first_order_labels(self):
+        rng = random.Random(13)
+        c, d, x1 = _small_pair_fixtures()
+        f = polynomial([Fraction(0), Fraction(1), Fraction(0), Fraction(1)])
+        y = rational_matrix(rng, 3)
+        rep = perturbation_check_gdoi(lift_divided_difference(f, 1),
+                                      lift_divided_difference(f, 2),
+                                      c, d, x1, y)
+        assert list(rep.corrections) == [
+            "X[C_P,D_P,X1_P]", "X[C_P,D_P,X1_N]",
+            "X[C_N,D_N,X1_P]", "X[C_N,D_N,X1_N]"]
+        assert list(rep.trailing) == ["T[C_N,D_N,X1_P]", "T[C_N,D_N,X1_N]"]
+        diff = c.reconstruct() - d.reconstruct()
+        big = GmoiProblem(lift_divided_difference(f, 2), (c, d, x1),
+                          (diff, y))
+        for mode in ("P", "N"):
+            assert rep.trailing[f"T[C_N,D_N,X1_{mode}]"] == eval_gmoi(
+                big, modes=("N", "N", mode))
+            assert rep.corrections[f"X[C_N,D_N,X1_{mode}]"] == \
+                operational_cross_term(
+                    lift_divided_difference(f, 1),
+                    lift_divided_difference(f, 2), [(x1, mode)], 0, c, d,
+                    True, [y])
+
+    def test_interior_slot_labels(self):
+        rng = random.Random(14)
+        c, d, x1 = _small_pair_fixtures()
+        _, x2 = gen_fixture([(Fraction(2), [1, 1]), (Fraction(0), [1])],
+                            seed=15, exact=True)
+        f = polynomial([Fraction(1), Fraction(0), Fraction(1)])
+        small, big = (lift_divided_difference(f, 2),
+                      lift_divided_difference(f, 3))
+        args = [rational_matrix(rng, 3), rational_matrix(rng, 3)]
+        rep = perturbation_check_general(small, big, [x1, x2], 2, c, d, args)
+        assert list(rep.corrections) == [
+            f"X[X1_{left},{pair},X2_{right}]" for left in ("P", "N")
+            for pair in ("C_P,D_P", "C_N,D_N") for right in ("P", "N")]
+        assert list(rep.trailing) == [
+            f"T[X1_{left},C_N,D_N,X2_{right}]" for left in ("P", "N")
+            for right in ("P", "N")]
+        diff = c.reconstruct() - d.reconstruct()
+        problem = GmoiProblem(big, (x1, c, d, x2), (args[0], diff, args[1]))
+        for left in ("P", "N"):
+            for right in ("P", "N"):
+                assert rep.trailing[f"T[X1_{left},C_N,D_N,X2_{right}]"] == \
+                    eval_gmoi(problem, modes=(left, "N", "N", right))
+        assert rep.corrections["X[X1_N,C_P,D_P,X2_P]"] == \
+            operational_cross_term(small, big, [(x1, "N"), (x2, "P")], 1, c,
+                                   d, False, args)
 
     def test_diagonalizable_corrections_vanish(self):
         rng = random.Random(11)

@@ -53,6 +53,15 @@ class TestDecompose:
         res = runner.invoke(main, ["decompose", str(bad)])
         assert res.exit_code == 2
 
+    def test_inconsistent_rank_profile(self, runner, tmp_path):
+        from gmoical import gen_fixture
+        m, _ = gen_fixture([(1.0, [2, 1]), (-1.0, [2, 1]), (2.0, [3, 1])],
+                           seed=0)
+        res = runner.invoke(main, ["decompose",
+                                   _write(tmp_path, "m.json", m.to_json())])
+        assert res.exit_code == 2
+        assert "chain vectors" in res.stderr
+
 
 class TestFuncmat:
     def test_square_of_jordan_block(self, runner, jordan2, square_fn):

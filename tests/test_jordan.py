@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gmoical import (DecompositionError, Matrix, decompose, frobenius_norm,
-                     from_structure, gen_fixture, mat_mul)
+import gmoical.jordan
+from gmoical import (QC, DecompositionError, Matrix, decompose,
+                     frobenius_norm, from_structure, gen_fixture, mat_mul)
 from conftest import draw_fixture
 
 
@@ -138,3 +139,106 @@ class TestErrors:
         v = Matrix.identity(3, True)
         with pytest.raises(DecompositionError):
             from_structure([(Fraction(1), [2])], v, exact=True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_auto_chain_count_guard(self, seed):
+        # the rank profile of these matrices yields more chain vectors
+        # than the dimension; the guard names both numbers
+        m, _ = gen_fixture([(1.0, [2, 1]), (-1.0, [2, 1]), (2.0, [3, 1])],
+                           seed=seed)
+        with pytest.raises(DecompositionError,
+                           match=r"found \d+ chain vectors .* dim 10"):
+            decompose(m)
+
+
+# (structure, distinct eigenvalues, signature) with several chains per
+# eigenvalue; from_structure sorts eigenvalues and puts longer chains first
+MULTI_CHAIN = [
+    ([(Fraction(1), [1, 2]), (Fraction(-1), [1])],
+     [-1, 1], ((1,), (2, 1))),
+    ([(Fraction(2), [2, 2]), (Fraction(0), [1, 1])],
+     [0, 2], ((1, 1), (2, 2))),
+    ([(Fraction(1), [1, 3, 1])], [1], ((3, 1, 1),)),
+    ([(Fraction(-1), [2]), (Fraction(3), [1, 1, 1])],
+     [-1, 3], ((2,), (1, 1, 1))),
+]
+
+
+def _dense_chain_matrices(dec):
+    """Per block, (V Sel) V^-1 and (V S) V^-1 with the 0/1 selection and
+    shift of the chain's columns built as dense matrices, the columns
+    found by accumulating the chain lengths in block order."""
+    n = dec.dim
+    out = []
+    start = 0
+    for b in dec.blocks:
+        sel = [[QC(0)] * n for _ in range(n)]
+        shift = [[QC(0)] * n for _ in range(n)]
+        for c in range(start, start + b.order):
+            sel[c][c] = QC(1)
+            if c + 1 < start + b.order:
+                shift[c][c + 1] = QC(1)
+        out.append(tuple(
+            mat_mul(mat_mul(dec.transform, Matrix(e, exact=True)),
+                    dec.transform_inv) for e in (sel, shift)))
+        start += b.order
+    return out
+
+
+class TestChainMatrices:
+    """Chain matrices are built from V, V^-1 and the chain spans on first
+    access; the decomposition itself multiplies nothing."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        real = gmoical.jordan.mat_mul
+
+        def counting(a, b):
+            calls.append(a.dim)
+            return real(a, b)
+        monkeypatch.setattr(gmoical.jordan, "mat_mul", counting)
+        return calls
+
+    def test_from_structure_makes_no_products(self, products):
+        for seed, (structure, _, _) in enumerate(MULTI_CHAIN):
+            for exact in (True, False):
+                s = [(lam if exact else complex(lam), lengths)
+                     for lam, lengths in structure]
+                _, truth = gen_fixture(s, seed=seed, exact=exact)
+                del products[:]
+                dec = from_structure(s, truth.transform, exact=exact)
+                assert products == []
+                p = dec.blocks[0].projector
+                count = len(products)
+                assert count
+                assert dec.blocks[0].projector is p
+                assert len(products) == count
+
+    def test_auto_decompositions_make_no_products(self, products):
+        m, _ = gen_fixture([(1.0, [2, 1]), (3.0, [1])], seed=3)
+        _, truth = gen_fixture(MULTI_CHAIN[0][0], seed=4, exact=True)
+        x = truth.reconstruct()
+        del products[:]
+        assert decompose(m).signature() == ((2, 1), (1,))
+        assert decompose(x, mode="auto").signature() == truth.signature()
+        assert products == []
+
+    @pytest.mark.parametrize("case", range(len(MULTI_CHAIN)))
+    def test_matches_dense_construction(self, case):
+        structure, eigs, sig = MULTI_CHAIN[case]
+        _, dec = gen_fixture(structure, seed=20 + case, exact=True)
+        assert dec.eigenvalues == [QC(e) for e in eigs]
+        assert dec.signature() == sig
+        dense = _dense_chain_matrices(dec)
+        for b, (p, n) in zip(dec.blocks, dense):
+            assert b.projector == p
+            assert b.nilpotent == n
+            want = []
+            for _ in range(1, b.order):
+                want.append(mat_mul(want[-1], n) if want else n)
+            assert list(b.powers) == want
+        counts = {}
+        for b in dec.blocks:
+            counts[b.eigenvalue] = counts.get(b.eigenvalue, 0) + 1
+            assert b.block_index == counts[b.eigenvalue]
