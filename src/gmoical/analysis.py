@@ -55,15 +55,15 @@ def _grid(dec):
     return [_to_cplx(e) for e in dec.eigenvalues]
 
 
-def _pattern_upper(problem, pattern):
+def _pattern_upper(problem, pattern, peak):
     """(bound, scalar) for one nilpotent pattern: bound includes the
     argument-norm factors, scalar omits them (used for the Lipschitz
-    coefficient). The implicit trailing identity argument has weight 1."""
+    coefficient). The implicit trailing identity argument has weight 1.
+    ``peak(orders)`` is max |partial of beta| over the eigenvalue grid."""
     zeta = problem.zeta
     r = zeta + 1
     bits = pattern.bits
     weights = [frobenius_norm(y) for y in problem.args] + [1.0]
-    grids = [_grid(d) for d in problem.params]
     selected = [j for j in range(r) if bits[j]]
     # enumeration over (block, q) for the selected slots only
     sel_opts = [[(q, frobenius_norm(npow))
@@ -79,12 +79,7 @@ def _pattern_upper(problem, pattern):
             orders[j] = q
             denom *= math.factorial(q)
             nil_factor *= nnorm
-        peak = 0.0
-        for lams in itertools.product(*grids):
-            v = abs(problem.beta.partial(orders, lams))
-            if v > peak:
-                peak = v
-        scalar_total += (peak / denom) * nil_factor
+        scalar_total += (peak(tuple(orders)) / denom) * nil_factor
     w_sel = 1.0
     for j in selected:
         w_sel *= weights[j]
@@ -96,15 +91,30 @@ def _pattern_upper(problem, pattern):
 
 
 def _pattern_uppers(problem):
-    """``_pattern_upper`` of each nilpotent pattern, in pattern order."""
+    """``_pattern_upper`` of each nilpotent pattern, in pattern order; the
+    grid peak of each order tuple is computed once for all of them."""
     r = problem.zeta + 1
-    return [_pattern_upper(problem, NilpotentPattern(i, r))
+    grids = [_grid(d) for d in problem.params]
+    peaks = {}
+
+    def peak(orders):
+        if orders not in peaks:
+            top = 0.0
+            for lams in itertools.product(*grids):
+                v = abs(problem.beta.partial(orders, lams))
+                if v > top:
+                    top = v
+            peaks[orders] = top
+        return peaks[orders]
+
+    return [_pattern_upper(problem, NilpotentPattern(i, r), peak)
             for i in range(2 ** r)]
 
 
 def norm_report(problem, budget=None):
     """Per-pattern actual norms and upper bounds, the summed upper bound,
     and both lower bounds."""
+    problem = problem.tabulated()
     terms = pattern_terms(problem, budget=budget)
     per_norm = [frobenius_norm(t) for _, t in terms]
     uppers = _pattern_uppers(problem)
@@ -143,6 +153,7 @@ def lipschitz_check(problem, args_alt, budget=None):
     args_alt = tuple(args_alt)
     if len(args_alt) != zeta:
         raise AnalysisError("need one alternate argument per slot")
+    problem = problem.tabulated()
     ups = sum(sc for _, sc in _pattern_uppers(problem))
     ny = [frobenius_norm(y) for y in problem.args]
     ny2 = [frobenius_norm(y) for y in args_alt]
@@ -302,6 +313,8 @@ def _perturbation_report(beta_small, beta_big, params, j, c_dec, d_dec, args,
     """The perturbation identity with the C/D pair in slot j of the
     zeta + 1 slots, between parameters j - 1 and j (1-based) of
     ``params``; j = 1 has no left flank."""
+    beta_small = beta_small.tabulated()
+    beta_big = beta_big.tabulated()
     diff = c_dec.reconstruct() - d_dec.reconstruct()
     before, after = params[:j - 1], params[j - 1:]
     params_big = before + [c_dec, d_dec] + after
@@ -391,6 +404,7 @@ def continuity_experiment(problem, directions, steps, tol=1e-9, budget=None):
     directions = list(directions)
     if len(directions) != len(problem.params):
         raise AnalysisError("need one direction matrix per parameter")
+    problem = problem.tabulated()
     base = eval_gmoi(problem, budget=budget)
     base_sigs = [d.signature() for d in problem.params]
     mats = [d.reconstruct().to_float() for d in problem.params]

@@ -178,8 +178,8 @@ def _xbar(f, pattern, pair_pos, x_dec, xt_dec, y, t, budget=None):
     params_big = ([dec_of[s] for s in pre] + [xt_dec, x_dec]
                   + [dec_of[s] for s in post])
     args_big = [y] * len(pre) + [y.scale(t)] + [y] * len(post)
-    beta_big = lift_divided_difference(f, rho - 1)
-    beta_small = lift_divided_difference(f, rho - 2)
+    beta_big = lift_divided_difference(f, rho - 1).tabulated()
+    beta_small = lift_divided_difference(f, rho - 2).tabulated()
     prob_big = GmoiProblem(beta_big, params_big, args_big)
     t_full = eval_gmoi(prob_big, modes=pre_modes + ("full", "full")
                        + post_modes, budget=budget)
@@ -231,7 +231,7 @@ def nth_derivative(f, x, y, n, x_step=1e-3, budget=None, tol=1e-9):
 
     def lift(k):
         if k not in lifts:
-            lifts[k] = lift_divided_difference(f, k)
+            lifts[k] = lift_divided_difference(f, k).tabulated()
         return lifts[k]
 
     for term in expansion.terms:

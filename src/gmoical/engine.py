@@ -12,7 +12,7 @@ every sub-sum used by the analysis and derivative layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .numerics import Matrix, mat_mul
 from .spectral_map import (DEFAULT_BUDGET, BudgetExceededError,
@@ -55,6 +55,12 @@ class GmoiProblem:
     @property
     def exact(self):
         return self.params[0].exact
+
+    def tabulated(self):
+        """The problem with ``beta.tabulated()``: the integrals of one
+        report evaluated on it share one divided-difference table."""
+        beta = self.beta.tabulated()
+        return self if beta is self.beta else replace(self, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,7 @@ def pattern_terms(problem, budget=None):
     """The 2**(zeta+1) nilpotent-pattern terms A_{i'} whose sum is the
     integral: term i' restricts slot j to N if bit j of i' (MSB first) is
     set, else P."""
+    problem = problem.tabulated()
     r = problem.zeta + 1
     out = []
     for i in range(2 ** r):
@@ -130,6 +137,7 @@ def decompose_by_parameters(problem, budget=None):
     """The 2**(zeta+1) sub-integrals indexed i = 1..2**(zeta+1) where slot
     j is nilpotent-restricted iff bit j-1 (least significant first) of
     i - 1 is set. Their sum equals the full integral."""
+    problem = problem.tabulated()
     r = problem.zeta + 1
     out = []
     for i in range(1, 2 ** r + 1):

@@ -4,6 +4,13 @@ functions to multivariate symbols.
 
 Builtins evaluate on either Python complex or exact rational complex (QC)
 arguments; the exponential is float-only.
+
+A partial of the lift f^[k] is one confluent divided difference of f, and
+neighbouring terms of a spectral sum share most of its sub-differences.
+``MultiFunction.tabulated()`` gives a copy of a symbol whose divided
+differences all go through one table keyed by node tuple, so each
+sub-difference is computed once; evaluators take that copy once per call
+and drop it on return, so no table outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -33,16 +40,25 @@ class MultiFunction:
 
     ``partial(orders, args)`` returns the mixed partial with the given
     per-argument derivative orders, evaluated at ``args``.
+
+    ``tabulate``, when given, builds the copy returned by ``tabulated()``.
     """
 
     def __init__(self, arity, eval_fn, partial_fn=None, max_order=None,
-                 kind="custom", meta=None):
+                 kind="custom", meta=None, tabulate=None):
         self.arity = arity
         self._eval = eval_fn
         self._partial = partial_fn
         self.max_order = math.inf if max_order is None else max_order
         self.kind = kind
         self.meta = meta or {}
+        self._tabulate = tabulate
+
+    def tabulated(self):
+        """A copy whose divided differences share one fresh table, with
+        the same values bit for bit; ``self`` when the partials are closed
+        form or the table is already there."""
+        return self if self._tabulate is None else self._tabulate()
 
     def eval(self, *args):
         if len(args) == 1 and isinstance(args[0], (list, tuple)):
@@ -260,8 +276,13 @@ def product_symbol(beta, num_linear):
     def ev(args):
         return pt((0,) * arity, args)
 
-    return MultiFunction(arity, ev, pt, kind="product-moi",
-                         meta={"beta": beta})
+    def tabulate():
+        inner = beta.tabulated()
+        return symbol if inner is beta else product_symbol(inner, num_linear)
+
+    symbol = MultiFunction(arity, ev, pt, kind="product-moi",
+                           meta={"beta": beta}, tabulate=tabulate)
+    return symbol
 
 
 def separable_product(outer, inners, layout):
@@ -285,7 +306,15 @@ def separable_product(outer, inners, layout):
     def ev(args):
         return pt((0,) * arity, args)
 
-    return MultiFunction(arity, ev, pt, kind="separable-product")
+    def tabulate():
+        tabs = [f.tabulated() for f in funcs]
+        if all(t is f for t, f in zip(tabs, funcs)):
+            return symbol
+        return separable_product(tabs[0], tabs[1:], layout)
+
+    symbol = MultiFunction(arity, ev, pt, kind="separable-product",
+                           tabulate=tabulate)
+    return symbol
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +334,48 @@ def _nodes_equal(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def divided_difference(f, nodes, tol=1e-8):
+def _near_equal_adjacent(nodes, tol):
+    """Sorted ``nodes`` reordered so that each class of near-equal nodes
+    (linked by ``_nodes_equal``) is contiguous: classes in the order of
+    their first node, each in sorted order. The recursion treats a run as
+    confluent when its end nodes are near-equal, so a far node sorted
+    between them would be dropped. Sorting already keeps the classes
+    contiguous for exact and for real nodes; the order is only changed
+    where it does not."""
+    if _is_exact(nodes[0]) or not any(z.imag for z in nodes):
+        return nodes
+    runs = []                       # maximal runs of equal nodes
+    for z in nodes:
+        if runs and runs[-1][0] == z:
+            runs[-1].append(z)
+        else:
+            runs.append([z])
+    label = list(range(len(runs)))  # smallest run index of each class
+    for j in range(1, len(runs)):
+        for i in range(j):
+            if label[i] != label[j] and _nodes_equal(runs[i][0], runs[j][0],
+                                                     tol):
+                lo, hi = sorted((label[i], label[j]))
+                label = [lo if x == hi else x for x in label]
+    order = sorted(range(len(runs)), key=label.__getitem__)
+    if order == list(range(len(runs))):
+        return nodes
+    return [z for i in order for z in runs[i]]
+
+
+def divided_difference(f, nodes, tol=1e-8, table=None):
     """Confluent divided difference f[z_0, ..., z_k] of a univariate f.
 
     Repeated nodes (exact equality in exact mode, relative tolerance in
     float mode) use the derivative rule f[z ... z] = f^(s)(z)/s!.
+
+    Every sub-difference is stored in ``table`` under its node tuple; a
+    dict passed in is shared with later calls on the same f and tol, which
+    then reuse what they have in common. Without one the table lives for
+    this call only. The value is the same either way.
     """
     if f.arity != 1:
         raise FunctionError("divided_difference needs a univariate function")
-    nodes = sorted(nodes, key=_node_key)
     k = len(nodes) - 1
     if k < 0:
         raise FunctionError("need at least one node")
@@ -321,20 +383,26 @@ def divided_difference(f, nodes, tol=1e-8):
         raise FunctionError(
             f"confluent divided difference may need derivatives up to "
             f"order {k}, function supports {f.max_order}")
-    table = {}
+    nodes = _near_equal_adjacent(sorted(nodes, key=_node_key), tol)
+    return _dd(f, tuple(nodes), tol, {} if table is None else table)
 
-    def dd(i, j):
-        if (i, j) in table:
-            return table[(i, j)]
-        if _nodes_equal(nodes[i], nodes[j], tol):
-            s = j - i
-            val = f.partial((s,), (nodes[i],)) / math.factorial(s)
-        else:
-            val = (dd(i + 1, j) - dd(i, j - 1)) / (nodes[j] - nodes[i])
-        table[(i, j)] = val
+
+_MISSING = object()
+
+
+def _dd(f, nodes, tol, table):
+    val = table.get(nodes, _MISSING)
+    if val is not _MISSING:
         return val
-
-    return dd(0, k)
+    first, last = nodes[0], nodes[-1]
+    if _nodes_equal(first, last, tol):
+        s = len(nodes) - 1
+        val = f.partial((s,), (first,)) / math.factorial(s)
+    else:
+        val = ((_dd(f, nodes[1:], tol, table) - _dd(f, nodes[:-1], tol, table))
+               / (last - first))
+    table[nodes] = val
+    return val
 
 
 def lift_divided_difference(f, k, tol=1e-8):
@@ -344,21 +412,31 @@ def lift_divided_difference(f, k, tol=1e-8):
     prod q_j!."""
     if f.arity != 1:
         raise FunctionError("lift needs a univariate function")
+    return _lift(f, k, tol, None)
+
+
+def _lift(f, k, tol, table):
+    """The lift; its divided differences share ``table`` when it is a
+    dict, and each call has its own when it is None."""
 
     def ev(args):
-        return divided_difference(f, args, tol=tol)
+        return divided_difference(f, args, tol=tol, table=table)
 
     def pt(orders, args):
         expanded = []
         for q, z in zip(orders, args):
             expanded.extend([z] * (q + 1))
-        val = divided_difference(f, expanded, tol=tol)
+        val = divided_difference(f, expanded, tol=tol, table=table)
         for q in orders:
             val = val * math.factorial(q)
         return val
 
+    def tabulate():
+        return _lift(f.tabulated(), k, tol, {})
+
     return MultiFunction(k + 1, ev, pt, kind="dd-lift",
-                         meta={"base": f, "order": k})
+                         meta={"base": f, "order": k},
+                         tabulate=None if table is not None else tabulate)
 
 
 def fd_check(f, orders, args, step=1e-5):

@@ -107,6 +107,8 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     the last slot inward: for each choice of the outer options, the first
     slot sums row-shifted copies of B_1; each later slot sums
     column-shifted partial products and multiplies the sum by its B_j.
+    The coefficients come from ``symbol.tabulated()``, so the sum computes
+    each divided difference once.
     """
     budget = effective_budget(budget)
     needed = count_terms(option_lists)
@@ -121,6 +123,7 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
         dim = option_lists[0][0].dec.dim
     if not needed:
         return Matrix.zeros(dim, exact)
+    symbol = symbol.tabulated()
     decs = [opts[0].dec for opts in option_lists]
     basis = []
     for j in range(r - 1):

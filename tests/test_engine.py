@@ -151,3 +151,31 @@ class TestComposition:
                     assert residual / scale <= 1e-8
                     trials += 1
         assert trials == 12
+
+
+class TestFloatAgainstExact:
+    def test_eigenvalues_sharing_a_real_part(self):
+        # The float decompositions give eigenvalue 1 as 1 - 6e-16j in one
+        # parameter and 1 + 4e-16j in the other, and 1 - 2j sorts between
+        # them: the divided differences must not take that run as confluent.
+        entries = {
+            "a": [[[1, 2], [0, -4], [0, 0]], [[0, 2], [1, -4], [0, 0]],
+                  [[-2, 2], [3, -4], [0, 0]]],
+            "b": [[[1, -2], [0, 2], [0, 2]], [[0, -2], [1, 2], [0, 2]],
+                  [[0, 2], [0, -1], [1, -1]]],
+        }
+        beta = lift_divided_difference(polynomial(
+            [Fraction(c) for c in (0, 2, 3, -3)]), 2)
+        rng = random.Random(19)
+        args = [rational_matrix(rng, 3) for _ in range(2)]
+        results = []
+        for exact in (False, True):
+            decs = {k: decompose(Matrix.from_json({"dim": 3, "entries": e},
+                                                  exact=exact), tol=1e-9)
+                    for k, e in entries.items()}
+            problem = GmoiProblem(beta, [decs["a"], decs["b"], decs["a"]],
+                                  [a if exact else a.to_float()
+                                   for a in args])
+            results.append(eval_gmoi(problem).to_float())
+        got, want = results
+        assert frobenius_norm(got - want) <= 1e-9 * frobenius_norm(want)

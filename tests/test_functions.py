@@ -1,6 +1,7 @@
 """Scalar symbols: polynomials, rationals, partial derivatives, confluent
 divided differences and their lifts."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmoical import (FunctionError, divided_difference, exp_function,
-                     fd_check, function_from_json, lift_divided_difference,
+from gmoical import (FunctionError, GmoiProblem, MultiFunction,
+                     divided_difference, eval_gmoi, exp_function, fd_check,
+                     function_from_json, gen_fixture, lift_divided_difference,
                      multivariate_polynomial, polynomial, power_function,
-                     rational_function)
+                     product_symbol, QC, random_matrix, rational_function,
+                     separable_product, slot_options)
 
 
 class TestPolynomials:
@@ -102,6 +105,18 @@ class TestDividedDifference:
         right = divided_difference(f, nodes[1:])
         assert whole * (nodes[0] - nodes[-1]) == left - right
 
+    def test_far_node_between_near_equal_nodes(self):
+        # sorted by (real, imag) the far node lies between two nodes that
+        # are equal within tol; the run must not be taken as confluent
+        f = polynomial([0, 0, 0, 1])          # z^3: f[a, b, c] = a + b + c
+        a, far, b = 1, 1 + 1e-10 + 5j, 1 + 2e-10
+        got = divided_difference(f, [a, far, b])
+        # the confluent rule replaces f[a, b] by f'(a) = 3
+        want = ((b * b + b * far + far * far) - 3) / (far - a)
+        assert abs(got - want) < 1e-12
+        # merging a and b, 2e-10 apart, moves the value by about 1.2e-10
+        assert abs(got - (a + far + b)) < 1e-9
+
     def test_first_order_identity_float(self):
         # f[... , lam, ...] - f[... , mu, ...] = (lam - mu) f[..., lam, mu, ...]
         rng = random.Random(1)
@@ -130,6 +145,115 @@ class TestLift:
         # d/dz1 f[z1, z2] at z1=z2=z equals f[z,z,z] = f''(z)/2
         got = g.partial((1, 0), (Fraction(2), Fraction(2)))
         assert got == Fraction(6)
+
+
+def _counted(base):
+    """``base`` with a log of every value and derivative it computes."""
+    calls = []
+
+    def ev(args):
+        calls.append(0)
+        return base.eval(*args)
+
+    def pt(orders, args):
+        calls.append(orders[0])
+        return base.partial(orders, args)
+
+    return MultiFunction(1, ev, pt, kind="counted"), calls
+
+
+def _exact_problem(beta):
+    """A fixed exact problem, arity 3, with chains up to 3 and eigenvalues
+    shared between slots."""
+    F = Fraction
+    decs = [gen_fixture(s, seed=seed, exact=True)[1] for s, seed in (
+        ([(F(1), [3, 1]), (F(2), [1])], 1),
+        ([(F(1), [2]), (F(-1), [2, 1])], 2),
+        ([(F(2), [2, 1]), (F(1), [2])], 3))]
+    rng = random.Random(4)
+    args = [random_matrix(rng, 5, exact=True) for _ in range(2)]
+    return GmoiProblem(beta, decs, args)
+
+
+class TestTabulated:
+    F_COEFFS = [0.5, -1.0, 0.3, 1.0, 0.25, -0.125]
+
+    def _assert_same(self, lift, nodes, arity, max_q):
+        tab = lift.tabulated()
+        rng = random.Random(5)
+        for orders in itertools.product(range(max_q + 1), repeat=arity):
+            for _ in range(3):
+                args = [rng.choice(nodes) for _ in range(arity)]
+                assert tab.partial(orders, args) == lift.partial(orders, args)
+            assert tab.eval(*args) == lift.eval(*args)
+
+    def test_float_equal_including_merged_nodes(self):
+        f = polynomial(self.F_COEFFS)
+        nodes = [0.5, 0.5 + 1e-11, -1.25, 2 + 1j, 2 + 1j + 3e-10j, 2 - 1j]
+        self._assert_same(lift_divided_difference(f, 2), nodes, 3, 3)
+
+    def test_exact_equal(self):
+        f = polynomial([Fraction(c) for c in self.F_COEFFS])
+        nodes = [QC(1), QC(-2), QC(1, 1), QC(Fraction(1, 2), -1)]
+        self._assert_same(lift_divided_difference(f, 1), nodes, 2, 3)
+
+    def test_copies_and_closed_forms(self):
+        lift = lift_divided_difference(polynomial([1, 2, 3]), 1)
+        tab = lift.tabulated()
+        assert tab is not lift and tab.tabulated() is tab
+        assert lift.tabulated() is not tab          # a fresh table each time
+        closed = multivariate_polynomial(2, [(1, (1, 1))])
+        assert closed.tabulated() is closed
+        moi = product_symbol(lift, 1)
+        assert moi.tabulated() is not moi
+        assert moi.tabulated().tabulated().meta["beta"] is not lift
+        sep = separable_product(closed, [lift], [[0, 1], [2, 3]])
+        assert sep.tabulated().tabulated() is not sep
+        plain = separable_product(closed, [closed], [[0, 1], [2, 3]])
+        assert plain.tabulated() is plain
+        args = (0.5, 1.5, -0.25, 2.0)
+        for orders in itertools.product(range(3), repeat=4):
+            assert sep.tabulated().partial(orders, args) == \
+                sep.partial(orders, args)
+            assert moi.tabulated().partial(orders[:3], args[:3]) == \
+                moi.partial(orders[:3], args[:3])
+
+    def test_table_lives_for_one_call(self):
+        f, calls = _counted(polynomial([1, -2, 0, 1, 1]))
+        beta = lift_divided_difference(f, 2)
+        problem = _exact_problem(beta)
+        first = eval_gmoi(problem)
+        n = len(calls)
+        assert n
+        calls.clear()
+        assert eval_gmoi(problem) == first
+        assert len(calls) == n                      # started empty again
+        assert problem.beta is beta
+        lams = [d.eigenvalues[0] for d in problem.params]
+        counts = []
+        for _ in range(2):                          # the caller's symbol
+            calls.clear()                           # keeps no table
+            beta.partial((1, 2, 0), lams)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_one_base_call_per_distinct_confluent_run(self):
+        f, calls = _counted(polynomial([1, -2, 0, 1, 1]))
+        problem = _exact_problem(lift_divided_difference(f, 2))
+        runs = set()
+        for combo in itertools.product(*(slot_options(d)
+                                         for d in problem.params)):
+            mult = {}
+            for c in combo:
+                mult[c.eigenvalue] = mult.get(c.eigenvalue, 0) + c.order + 1
+            if len(mult) == 1:
+                (z, m), = mult.items()
+                runs.add((z, m))
+            else:
+                runs.update((z, s) for z, m in mult.items()
+                            for s in range(1, m + 1))
+        eval_gmoi(problem)
+        assert len(calls) == len(runs)
 
 
 class TestJson:
