@@ -11,8 +11,7 @@ from .analysis import (AnalysisError, ContinuityReport, NormBoundReport,
                        reverse_triangle_lower)
 from .derivative import (CrossTerm, DerivativeError, DerivativeExpansion,
                          GmoiTerm, ParameterPattern, build_expansion,
-                         expansion_oracle, fd_oracle, first_derivative,
-                         gamma, nth_derivative)
+                         expansion_oracle, fd_oracle, gamma, nth_derivative)
 from .engine import (EngineError, GmoiProblem, NilpotentPattern,
                      binary_selector, compose_check, decompose_by_parameters,
                      eval_classical_moi, eval_gmoi, pattern_terms)

@@ -55,21 +55,19 @@ def _grid(dec):
     return [_to_cplx(e) for e in dec.eigenvalues]
 
 
-def _pattern_upper(problem, pattern, peak):
+def _pattern_upper(problem, pattern, peak, nil_norms):
     """(bound, scalar) for one nilpotent pattern: bound includes the
     argument-norm factors, scalar omits them (used for the Lipschitz
     coefficient). The implicit trailing identity argument has weight 1.
-    ``peak(orders)`` is max |partial of beta| over the eigenvalue grid."""
+    ``peak(orders)`` is max |partial of beta| over the eigenvalue grid;
+    ``nil_norms[j]`` lists (q, |N**q|_F) over the chains of parameter j."""
     zeta = problem.zeta
     r = zeta + 1
     bits = pattern.bits
     weights = [frobenius_norm(y) for y in problem.args] + [1.0]
     selected = [j for j in range(r) if bits[j]]
     # enumeration over (block, q) for the selected slots only
-    sel_opts = [[(q, frobenius_norm(npow))
-                 for b in problem.params[j].blocks
-                 for q, npow in enumerate(b.powers, 1)]
-                for j in selected]
+    sel_opts = [nil_norms[j] for j in selected]
     scalar_total = 0.0
     for combo in itertools.product(*sel_opts):
         orders = [0] * r
@@ -92,7 +90,8 @@ def _pattern_upper(problem, pattern, peak):
 
 def _pattern_uppers(problem):
     """``_pattern_upper`` of each nilpotent pattern, in pattern order; the
-    grid peak of each order tuple is computed once for all of them."""
+    grid peak of each order tuple and the nilpotent-power norms of each
+    parameter are computed once for all of them."""
     r = problem.zeta + 1
     grids = [_grid(d) for d in problem.params]
     peaks = {}
@@ -107,7 +106,10 @@ def _pattern_uppers(problem):
             peaks[orders] = top
         return peaks[orders]
 
-    return [_pattern_upper(problem, NilpotentPattern(i, r), peak)
+    nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
+                  for q, npow in enumerate(b.powers, 1)]
+                 for d in problem.params]
+    return [_pattern_upper(problem, NilpotentPattern(i, r), peak, nil_norms)
             for i in range(2 ** r)]
 
 

@@ -325,20 +325,19 @@ def continuity(beta_path, params, args_paths, directions, levels, tol,
 @click.option("--x", "x_path", required=True, type=click.Path(exists=True))
 @click.option("--y", "y_path", required=True, type=click.Path(exists=True))
 @click.option("--order", default=1, show_default=True)
-@click.option("--xstep", default=1e-3, show_default=True,
-              help="step for correction-term differentiation")
 @click.option("--verify", is_flag=True,
               help="also report the finite-difference oracle residual")
 @common_options
 @_guarded
-def derivative_cmd(function_path, x_path, y_path, order, xstep, verify, tol,
-                   exact, as_json, budget):
-    """d^n f(X + tY)/dt^n at t=0."""
+def derivative_cmd(function_path, x_path, y_path, order, verify, tol, exact,
+                   as_json, budget):
+    """d^n f(X + tY)/dt^n at t=0, as n! times the operator integral of the
+    order-n divided difference of f with every parameter X; exact with
+    --exact, for Jordan X too."""
     f = _load_function(function_path)
     x = _load_matrix(x_path, exact)
     y = _load_matrix(y_path, exact)
-    result = derivative.nth_derivative(f, x, y, order, x_step=xstep,
-                                       budget=budget, tol=tol)
+    result = derivative.nth_derivative(f, x, y, order, budget=budget, tol=tol)
     payload = {"order": order, "result": result.to_json()}
     if verify:
         oracle = derivative.fd_oracle(f, x, y, order, tol=tol)

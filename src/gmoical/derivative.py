@@ -1,6 +1,13 @@
-"""Derivatives of matrix functions t -> f(X + tY) at t = 0, expressed as
-integer-coefficient combinations of operator integrals and correction
-terms, built by a term-rewriting recursion and evaluated numerically.
+"""Derivatives of matrix functions t -> f(X + tY) at t = 0.
+
+``nth_derivative`` evaluates the order-n derivative as one operator
+integral, n! T^{X,...,X}_{f^[n]}(Y, ..., Y), for every X. The paper's
+expansion of the same derivative into integer-coefficient combinations of
+nilpotent-pattern integrals and correction terms is kept as data:
+``build_expansion`` builds it by a term-rewriting recursion and ``gamma``
+counts its nilpotent correction terms. Two oracles that share no code with
+the engine check the results: the noncommutative polynomial expansion and
+a plain finite difference.
 """
 
 from __future__ import annotations
@@ -10,9 +17,9 @@ from dataclasses import dataclass
 
 from .analysis import StructureInstabilityError
 from .engine import GmoiProblem, eval_gmoi
-from .functions import FunctionError, lift_divided_difference
-from .jordan import JordanDecomposition, decompose, from_structure
-from .numerics import Matrix, frobenius_norm, inverse, mat_mul
+from .functions import lift_divided_difference
+from .jordan import JordanDecomposition, decompose
+from .numerics import Matrix, inverse, mat_mul
 
 # slot alphabet: the base matrix, its nilpotent part, and the perturbed
 # ("tilde") versions of both
@@ -76,6 +83,15 @@ def _tilde(letters):
     return tuple(_TILDE[s] for s in letters)
 
 
+def _check_order(n):
+    if n < 1:
+        raise DerivativeError("derivative order must be >= 1")
+    if n > MAX_EXPANSION_ORDER:
+        raise DerivativeError(
+            f"expansion order {n} exceeds the supported budget "
+            f"{MAX_EXPANSION_ORDER}")
+
+
 def build_expansion(n):
     """The order-n expansion, built by differentiating term-by-term from
     the order-1 seed:
@@ -86,12 +102,7 @@ def build_expansion(n):
       slots keep their letters before the pair and are tilded after it;
     - a correction term differentiates by incrementing its order.
     """
-    if n < 1:
-        raise DerivativeError("derivative order must be >= 1")
-    if n > MAX_EXPANSION_ORDER:
-        raise DerivativeError(
-            f"expansion order {n} exceeds the supported budget "
-            f"{MAX_EXPANSION_ORDER}")
+    _check_order(n)
     terms = {("gmoi", (X, X)): 1}
     for _ in range(n - 1):
         nxt = {}
@@ -142,153 +153,21 @@ def gamma(rho):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _as_decomposition(x, tol=1e-9):
-    if isinstance(x, JordanDecomposition):
-        return x
-    return decompose(x, tol=tol)
-
-
-def first_derivative(f, x, y, budget=None):
-    """d f(X + tY)/dt at t=0: the order-1 operator integral with both
-    parameter slots holding X and the single argument Y."""
-    dec = _as_decomposition(x)
-    lift = lift_divided_difference(f, 1)
-    return eval_gmoi(GmoiProblem(lift, (dec, dec), (y,)), budget=budget)
-
-
-def _dec_to_float(dec):
-    if not dec.exact:
-        return dec
-    structure = [(b.eigenvalue.to_complex(), [b.order]) for b in dec.blocks]
-    return from_structure(structure, dec.transform.to_float(), exact=False)
-
-
-def _xbar(f, pattern, pair_pos, x_dec, xt_dec, y, t, budget=None):
-    """The aggregate correction for the pair (X~, X) at pair_pos with the
-    remaining slots fixed by their letters, computed from its defining
-    rearrangement: big integral (full pair modes) minus the difference of
-    the two small integrals minus the nilpotent-pair big integral."""
-    letters = pattern.slots
-    rho = len(letters)
-    dec_of = {X: x_dec, XN: x_dec, XT: xt_dec, XTN: xt_dec}
-    pre = letters[:pair_pos]
-    post = letters[pair_pos + 2:]
-    pre_modes = tuple(_MODE[s] for s in pre)
-    post_modes = tuple(_MODE[s] for s in post)
-    params_big = ([dec_of[s] for s in pre] + [xt_dec, x_dec]
-                  + [dec_of[s] for s in post])
-    args_big = [y] * len(pre) + [y.scale(t)] + [y] * len(post)
-    beta_big = lift_divided_difference(f, rho - 1).tabulated()
-    beta_small = lift_divided_difference(f, rho - 2).tabulated()
-    prob_big = GmoiProblem(beta_big, params_big, args_big)
-    t_full = eval_gmoi(prob_big, modes=pre_modes + ("full", "full")
-                       + post_modes, budget=budget)
-    t_nn = eval_gmoi(prob_big, modes=pre_modes + ("N", "N") + post_modes,
-                     budget=budget)
-    args_small = [y] * (rho - 2)
-    small_modes = pre_modes + ("full",) + post_modes
-    t_c = eval_gmoi(GmoiProblem(beta_small,
-                                [dec_of[s] for s in pre] + [xt_dec]
-                                + [dec_of[s] for s in post], args_small),
-                    modes=small_modes, budget=budget)
-    t_d = eval_gmoi(GmoiProblem(beta_small,
-                                [dec_of[s] for s in pre] + [x_dec]
-                                + [dec_of[s] for s in post], args_small),
-                    modes=small_modes, budget=budget)
-    return t_full - t_c + t_d - t_nn
-
-
-def _fd_weights(offsets, n):
-    """Finite-difference weights on the given unit offsets for the n-th
-    derivative at 0 (nodes are offsets * step; divide by step**n)."""
-    import numpy as np
-    m = len(offsets)
-    v = np.vander(np.array(offsets, dtype=float), m, increasing=True).T
-    rhs = np.zeros(m)
-    rhs[n] = math.factorial(n)
-    return np.linalg.solve(v, rhs)
-
-
-def nth_derivative(f, x, y, n, x_step=1e-3, budget=None, tol=1e-9):
-    """d^n f(X + tY)/dt^n at t=0 by evaluating the order-n expansion.
-
-    Integral terms use divided-difference lifts of f; correction terms are
-    differentiated numerically (central stencil of width n-matching order,
-    one level of Richardson extrapolation) on the exactly-assembled
-    correction function of t, which needs the Jordan data of X + tY per
-    stencil node. The family must keep X's Jordan structure near t=0.
-    When X is diagonalizable that stability makes every correction vanish
-    identically and the whole evaluation stays in X's scalar mode.
+def nth_derivative(f, x, y, n, budget=None, tol=1e-9):
+    """d^n f(X + tY)/dt^n at t=0, for any X, Jordan or not: n! times the
+    operator integral T^{X,...,X}_{f^[n]}(Y, ..., Y) with n + 1 parameter
+    slots holding X and the order-n divided-difference lift of f
+    (Mathias 1996; Higham, Functions of Matrices, 2008, section 3.2).
+    Exact input gives an exact result. ``x`` is a matrix or its
+    JordanDecomposition; X + tY is never decomposed.
     """
-    x_dec = _as_decomposition(x, tol=tol)
-    expansion = build_expansion(n)
-    diagonalizable = all(b.order == 1 for b in x_dec.blocks)
-    if not diagonalizable:
-        x_dec = _dec_to_float(x_dec)
-        y = y.to_float()
-    out = Matrix.zeros(x_dec.dim, x_dec.exact)
-    lifts = {}
-
-    def lift(k):
-        if k not in lifts:
-            lifts[k] = lift_divided_difference(f, k).tabulated()
-        return lifts[k]
-
-    for term in expansion.terms:
-        if isinstance(term, GmoiTerm):
-            p = term.pattern.slots
-            modes = tuple(_MODE[s] for s in p)
-            val = eval_gmoi(GmoiProblem(lift(len(p) - 1), (x_dec,) * len(p),
-                                        (y,) * (len(p) - 1)),
-                            modes=modes, budget=budget)
-            out = out + val.scale(term.coeff)
-        else:
-            if diagonalizable:
-                # structure-stable diagonalizable family: corrections are
-                # identically zero
-                continue
-            out = out + _cross_derivative(f, term, x_dec, y, x_step,
-                                          budget=budget, tol=tol)
-    return out
-
-
-def _cross_derivative(f, term, x_dec, y, x_step, budget=None, tol=1e-9):
-    xmat = x_dec.reconstruct()
-    base_sig = x_dec.signature()
-    dec_cache = {}
-
-    def dec_at(t):
-        if t not in dec_cache:
-            d = decompose(xmat + y.scale(t), tol=tol)
-            if d.signature() != base_sig:
-                raise StructureInstabilityError(
-                    f"Jordan structure of X + tY changed at t={t}: "
-                    f"{d.signature()} != {base_sig}")
-            dec_cache[t] = d
-        return dec_cache[t]
-
-    def g(t):
-        if t == 0:
-            return Matrix.zeros(x_dec.dim, False)
-        return _xbar(f, term.pattern, term.pair_pos, x_dec, dec_at(t), y, t,
-                     budget=budget)
-
-    i = term.order
-
-    def stencil(h):
-        acc = Matrix.zeros(x_dec.dim, False)
-        for k in range(i + 1):
-            off = i / 2.0 - k
-            if off == 0:
-                continue
-            w = (-1) ** k * math.comb(i, k) / h ** i
-            acc = acc + g(off * h).scale(w)
-        return acc
-
-    d1 = stencil(x_step)
-    d2 = stencil(x_step / 2)
-    richardson = (d2.scale(4) - d1).scale(1 / 3)
-    return richardson.scale(term.coeff)
+    _check_order(n)
+    if not isinstance(x, JordanDecomposition):
+        x = decompose(x, tol=tol)
+    val = eval_gmoi(GmoiProblem(lift_divided_difference(f, n),
+                                (x,) * (n + 1), (y,) * n), budget=budget)
+    # adding to zeros turns the -0.0 entries of val into 0.0
+    return Matrix.zeros(x.dim, x.exact) + val.scale(math.factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +242,17 @@ def _apply_function(f, m, tol):
     except Exception as e:
         raise StructureInstabilityError(
             f"could not evaluate f at a stencil node: {e}") from e
+
+
+def _fd_weights(offsets, n):
+    """Finite-difference weights on the given unit offsets for the n-th
+    derivative at 0 (nodes are offsets * step; divide by step**n)."""
+    import numpy as np
+    m = len(offsets)
+    v = np.vander(np.array(offsets, dtype=float), m, increasing=True).T
+    rhs = np.zeros(m)
+    rhs[n] = math.factorial(n)
+    return np.linalg.solve(v, rhs)
 
 
 def fd_oracle(f, x, y, n, step=1e-3, stencil_width=None, tol=1e-9):

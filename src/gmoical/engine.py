@@ -28,7 +28,6 @@ class GmoiProblem:
     beta: object                 # MultiFunction, arity zeta+1
     params: tuple                # zeta+1 JordanDecompositions
     args: tuple                  # zeta Matrices
-    budget: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
@@ -104,8 +103,7 @@ def eval_gmoi(problem, modes=None, budget=None):
     if any(not o for o in opts):
         return Matrix.zeros(problem.dim, problem.exact)
     return eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
-                         dim=problem.dim, exact=problem.exact,
-                         budget=budget if budget is not None else problem.budget)
+                         dim=problem.dim, exact=problem.exact, budget=budget)
 
 
 def eval_classical_moi(problem, budget=None):
@@ -136,14 +134,11 @@ def pattern_terms(problem, budget=None):
 def decompose_by_parameters(problem, budget=None):
     """The 2**(zeta+1) sub-integrals indexed i = 1..2**(zeta+1) where slot
     j is nilpotent-restricted iff bit j-1 (least significant first) of
-    i - 1 is set. Their sum equals the full integral."""
-    problem = problem.tabulated()
-    r = problem.zeta + 1
-    out = []
-    for i in range(1, 2 ** r + 1):
-        modes = tuple("N" if ((i - 1) >> j) & 1 else "P" for j in range(r))
-        out.append((i, modes, eval_gmoi(problem, modes=modes, budget=budget)))
-    return out
+    i - 1 is set: the pattern terms, reindexed. Their sum equals the full
+    integral."""
+    ordered = sorted(pattern_terms(problem, budget=budget),
+                     key=lambda pt: pt[0].bits[::-1])
+    return [(i, pat.modes, term) for i, (pat, term) in enumerate(ordered, 1)]
 
 
 def compose_check(f, betas, params, args, budget=None):

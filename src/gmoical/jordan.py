@@ -231,6 +231,12 @@ def from_structure(structure, transform, exact=False):
                                transform_inv=v_inv, exact=exact)
 
 
+def _residual_limit(x, tol):
+    """The largest reconstruction residual a float decomposition of x may
+    have."""
+    return max(tol, 1e-9) * max(1.0, x.max_abs()) * 100
+
+
 def _decompose_auto_float(x, tol):
     import numpy as np
     a = x.to_numpy()
@@ -276,7 +282,23 @@ def _decompose_auto_float(x, tol):
             f"auto decomposition found {len(cols)} chain vectors for a "
             f"matrix of dim {n}: its rank decisions are inconsistent at "
             f"this tolerance")
-    return from_structure(structure, Matrix.from_numpy(np.column_stack(cols)))
+    dec = from_structure(structure, Matrix.from_numpy(np.column_stack(cols)))
+    # ||V J V^-1 - X||_F, with J read off the chains
+    j = np.zeros((n, n), dtype=complex)
+    for b in dec.blocks:
+        for k in range(b.start, b.start + b.order):
+            j[k, k] = b.eigenvalue
+            if k > b.start:
+                j[k - 1, k] = 1
+    resid = float(np.linalg.norm(dec.transform.to_numpy() @ j
+                                 @ dec.transform_inv.to_numpy() - a))
+    limit = _residual_limit(x, tol)
+    if resid > limit:
+        raise DecompositionError(
+            f"auto decomposition does not reproduce x: residual "
+            f"{resid:.3e} exceeds {limit:.3e} for signature "
+            f"{dec.signature()}")
+    return dec
 
 
 def _null_basis(m, thr):
@@ -368,7 +390,8 @@ def decompose(x, tol=1e-9, mode="auto", structure=None, transform=None):
     (eigenvalue, [chain lengths])) and ``transform`` V; the decomposition
     is built exactly from them and validated against x.
     mode="auto": numeric (float matrices) or symbolic (exact matrices)
-    structure discovery.
+    structure discovery; a float result must reproduce x within the
+    prescribed-mode limit.
     """
     if mode == "prescribed":
         if structure is None or transform is None:
@@ -376,7 +399,7 @@ def decompose(x, tol=1e-9, mode="auto", structure=None, transform=None):
                 "prescribed mode needs structure and transform")
         dec = from_structure(structure, transform, exact=x.exact)
         resid = frobenius_norm(dec.reconstruct() - x)
-        limit = 0 if x.exact else max(tol, 1e-9) * max(1.0, x.max_abs()) * 100
+        limit = 0 if x.exact else _residual_limit(x, tol)
         if resid > limit:
             raise DecompositionError(
                 f"prescribed structure does not reproduce x "

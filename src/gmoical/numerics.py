@@ -178,14 +178,20 @@ def _mod_sq(x):
 
 def parse_entry(entry, exact):
     """Parse a JSON matrix entry ``[re, im]`` where each part is a number
-    or a "p/q" string."""
+    or a "p/q" string. NaN and infinite parts raise NumericsError."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise NumericsError(f"matrix entry must be a [re, im] pair, got {entry!r}")
     re, im = entry
+    if any(isinstance(p, float) and not math.isfinite(p) for p in entry):
+        raise NumericsError(f"matrix entry {entry!r} is not finite")
     if exact:
         return QC(_as_fraction(re), _as_fraction(im))
-    re = float(Fraction(re)) if isinstance(re, str) else float(re)
-    im = float(Fraction(im)) if isinstance(im, str) else float(im)
+    try:
+        re = float(Fraction(re)) if isinstance(re, str) else float(re)
+        im = float(Fraction(im)) if isinstance(im, str) else float(im)
+    except OverflowError:
+        raise NumericsError(
+            f"matrix entry {entry!r} is too large for a float") from None
     return complex(re, im)
 
 

@@ -176,6 +176,10 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
         return mat_mul(Matrix(acc, exact=exact), basis[j]).rows
 
     total = contract(r - 1)
+    # contract holds itself through its closure cell; clearing the cell
+    # frees the tabulated symbol's table now, not at a later full garbage
+    # collection, which long runs of slot sums reach late
+    del contract
     if total is None:
         return Matrix.zeros(dim, exact)
     return mat_mul(decs[0].transform, Matrix(total, exact=exact))

@@ -83,7 +83,7 @@ def commands():
                                 "--args", "y1.json,y2.json", "--dump-terms"],
         "derivative": ["derivative", "--function", "f.json", "--x", "p2.json",
                        "--y", "y1.json", "--order", "2", "--verify"],
-        # X + tX keeps the Jordan structure of X, so the corrections run
+        # X has a Jordan block of length 2
         "derivative_jordan": ["derivative", "--function", "f.json",
                               "--x", "p1.json", "--y", "p1.json",
                               "--order", "2", "--verify"],

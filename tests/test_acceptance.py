@@ -13,7 +13,7 @@ from gmoical import (GmoiProblem, Matrix, compose_check, decompose,
                      decompose_by_parameters, divided_difference,
                      eval_classical_moi, eval_gmoi, eval_multivariate,
                      eval_univariate, expansion_oracle, fd_oracle,
-                     first_derivative, frobenius_norm, gen_fixture,
+                     frobenius_norm, gen_fixture,
                      lift_divided_difference, lipschitz_check, mat_mul,
                      multivariate_polynomial, norm_report, nth_derivative,
                      pattern_terms, perturbation_check_gdoi,
@@ -281,7 +281,7 @@ def test_criterion_09_derivatives():
                             distinct=True)
         y = float_matrix(rng, dim)
         for f in fns:
-            got = first_derivative(f, m, y)
+            got = nth_derivative(f, m, y, 1)
             want = fd_oracle(f, m, y, 1, step=1e-2, stencil_width=7)
             assert frobenius_norm(got - want) <= 1e-6
     # n = 2, 3 vs the polynomial expansion oracle: exact for rational

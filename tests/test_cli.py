@@ -62,6 +62,13 @@ class TestDecompose:
         assert res.exit_code == 2
         assert "chain vectors" in res.stderr
 
+    def test_infinite_entry_exact(self, runner, tmp_path):
+        m = _write(tmp_path, "inf.json", {"dim": 2, "entries": [
+            [1, 0], [float("inf"), 0], [0, 0], [1, 0]]})
+        res = runner.invoke(main, ["decompose", m, "--exact"])
+        assert res.exit_code == 2
+        assert m in res.stderr and "not finite" in res.stderr
+
 
 class TestFuncmat:
     def test_square_of_jordan_block(self, runner, jordan2, square_fn):
@@ -121,6 +128,18 @@ class TestGmoi:
         payload = json.loads(res.output)
         assert len(payload["patterns"]) == 4
         assert payload["patterns"][0]["modes"] == ["P", "P"]
+
+    def test_nan_argument(self, runner, tmp_path, jordan2):
+        beta = _write(tmp_path, "one.json", {
+            "kind": "polynomial-multi", "arity": 2,
+            "terms": [{"coeff": 1, "exponents": [0, 0]}]})
+        y = _write(tmp_path, "y.json", {"dim": 2, "entries": [
+            [1, 0], [float("nan"), 0], [0, 0], [1, 0]]})
+        res = runner.invoke(main, ["gmoi", "--beta", beta,
+                                   "--params", f"{jordan2},{jordan2}",
+                                   "--args", y, "--json"])
+        assert res.exit_code == 2
+        assert y in res.stderr and "not finite" in res.stderr
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 """Matrix-function derivatives: the symbolic expansion recursion, its
-regression data, and numerical evaluation against independent oracles."""
+regression data, the one-integral evaluation against independent oracles,
+and the paper's expansion (``expansion_reference``) as an identity."""
 
 import math
 import random
@@ -7,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from gmoical import (CrossTerm, DerivativeError, GmoiTerm, ParameterPattern,
+from gmoical import (DerivativeError, GmoiTerm, Matrix, ParameterPattern,
                      build_expansion, expansion_oracle, fd_oracle,
-                     first_derivative, frobenius_norm, gamma, gen_fixture,
-                     inverse, mat_mul, nth_derivative, polynomial,
-                     random_matrix)
+                     frobenius_norm, gamma, gen_fixture, inverse, mat_mul,
+                     nth_derivative, polynomial)
 from gmoical.analysis import StructureInstabilityError
 from conftest import draw_fixture, float_matrix, rational_matrix
+from expansion_reference import expansion_derivative
 
 X, XN, XT, XTN = "X", "X_N", "X~", "X~_N"
 
@@ -104,6 +105,12 @@ class TestExpansion:
             build_expansion(0)
         with pytest.raises(DerivativeError):
             build_expansion(99)
+        x, _ = gen_fixture([(1.0, [2])], seed=0)
+        f = polynomial([0.0, 1.0])
+        with pytest.raises(DerivativeError, match="order must be >= 1"):
+            nth_derivative(f, x, x, 0)
+        with pytest.raises(DerivativeError, match="exceeds the supported"):
+            nth_derivative(f, x, x, 9)
 
     def test_pattern_validation(self):
         with pytest.raises(DerivativeError):
@@ -123,7 +130,7 @@ class TestFirstDerivative:
                                 distinct=True)
             y = float_matrix(rng, 3)
             for f in fns:
-                got = first_derivative(f, m, y)
+                got = nth_derivative(f, m, y, 1)
                 want = fd_oracle(f, m, y, 1, step=1e-2, stencil_width=7)
                 assert frobenius_norm(got - want) <= 1e-6
 
@@ -134,7 +141,7 @@ class TestFirstDerivative:
         x = dec.reconstruct()
         y = rational_matrix(rng, 3)
         f = polynomial([Fraction(0), Fraction(0), Fraction(0), Fraction(1)])
-        assert first_derivative(f, x, y) == expansion_oracle(f, x, y, 1)
+        assert nth_derivative(f, x, y, 1) == expansion_oracle(f, x, y, 1)
 
 
 class TestNthDerivative:
@@ -161,32 +168,104 @@ class TestNthDerivative:
         assert frobenius_norm(nth_derivative(f, x, y, 4)) <= 1e-10
 
     def test_structure_stable_jordan_float(self):
-        # direction V E V^{-1} with block-scalar E keeps the Jordan
-        # signature, so the correction-term stencil is well posed
-        rng = random.Random(4)
-        _, dec = gen_fixture([(0.5, [2]), (2.0, [1])], seed=9, exact=False)
-        v = dec.transform
-        e = [[0.7, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, -0.4]]
-        from gmoical import Matrix
-        y = mat_mul(mat_mul(v, Matrix([[complex(c) for c in row]
-                                       for row in e], exact=False)),
-                    inverse(v))
-        x = dec.reconstruct()
+        x, y = _block_scalar_family()
         f = polynomial([0.0, 1.0, 1.0, 0.5, 0.25])
         for n in (2, 3):
-            got = nth_derivative(f, x, y, n, x_step=1e-3)
+            got = nth_derivative(f, x, y, n)
             want = expansion_oracle(f, x, y, n)
             assert frobenius_norm(got - want) <= 1e-5
 
+    def test_exact_jordan_equals_oracle(self):
+        # chain-3 X in rational mode: the one integral is exact
+        rng = random.Random(8)
+        f = polynomial([Fraction(1), Fraction(2), Fraction(-1), Fraction(1),
+                        Fraction(0), Fraction(2)])
+        for seed in range(3):
+            _, dec = gen_fixture([(Fraction(seed - 1), [3]),
+                                  (Fraction(seed + 1), [1])],
+                                 seed=seed, exact=True)
+            x = dec.reconstruct()
+            y = rational_matrix(rng, 4)
+            for n in (1, 2, 3, 4):
+                got = nth_derivative(f, x, y, n)
+                assert got.exact
+                assert got == expansion_oracle(f, x, y, n)
+
+    def test_generic_direction_on_jordan_x(self):
+        # a generic Y splits X's Jordan block along X + tY; the derivative
+        # at t=0 needs only X's decomposition
+        x, y = _generic_family()
+        f = polynomial([0.0, 1.0, 1.0, 0.5, 0.25])
+        for n in (1, 2, 3, 4):
+            want = expansion_oracle(f, x, y, n)
+            got = nth_derivative(f, x, y, n)
+            assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
     def test_structure_instability_detected(self):
-        # a generic direction splits the Jordan block: surfaced, not hidden
-        rng = random.Random(5)
-        _, dec = gen_fixture([(0.5, [2]), (2.0, [1])], seed=9, exact=False)
-        x = dec.reconstruct()
-        y = float_matrix(rng, 3)
+        # a generic direction splits the Jordan block: the expansion's
+        # corrections need X + tY's Jordan data, so it raises
+        x, y = _generic_family()
         f = polynomial([0.0, 1.0, 1.0, 0.5])
         with pytest.raises(StructureInstabilityError):
-            nth_derivative(f, x, y, 2)
+            expansion_derivative(f, x, y, 2)
+
+
+def _block_scalar_family(seed=9, shifts=(0.7, -0.4)):
+    """(X, Y) with X Jordan and Y = V E V^-1, E constant on the chains of
+    each eigenvalue: X + tY keeps X's Jordan signature near t=0."""
+    _, dec = gen_fixture([(0.5, [2]), (2.0, [1])], seed=seed, exact=False)
+    shift = dict(zip(dec.eigenvalues, shifts))
+    diag = [shift[b.eigenvalue] for b in dec.blocks for _ in range(b.order)]
+    e = [[complex(diag[i]) if i == j else 0j for j in range(3)]
+         for i in range(3)]
+    v = dec.transform
+    y = mat_mul(mat_mul(v, Matrix(e, exact=False)), inverse(v))
+    return dec.reconstruct(), y
+
+
+def _generic_family():
+    """(X, Y) with X Jordan and a generic Y, which splits X's block."""
+    _, dec = gen_fixture([(0.5, [2]), (2.0, [1])], seed=9, exact=False)
+    return dec.reconstruct(), float_matrix(random.Random(5), 3)
+
+
+class TestExpansionReference:
+    """The paper's expansion, evaluated term by term with numerically
+    differentiated corrections, gives the same derivative as the one
+    integral wherever the family keeps X's Jordan structure."""
+
+    def test_agrees_on_block_scalar_families(self):
+        rng = random.Random(10)
+        f = polynomial([0.0, 1.0, 1.0, 0.5, 0.25])
+        for seed in range(3):
+            shifts = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            x, y = _block_scalar_family(seed, shifts)
+            for n in (2, 3):
+                ref = expansion_derivative(f, x, y, n)
+                assert frobenius_norm(ref - nth_derivative(f, x, y, n)) <= 1e-5
+
+    def test_agrees_on_self_direction(self):
+        # X + tX = (1 + t) X keeps the Jordan structure of X
+        _, dec = gen_fixture([(Fraction(1), [2]), (Fraction(2), [1])],
+                             seed=1, exact=True)
+        x = dec.reconstruct()
+        f = polynomial([Fraction(1, 2), Fraction(-1), Fraction(1, 3),
+                        Fraction(1), Fraction(1, 4)])
+        for n in (1, 2, 3):
+            got = nth_derivative(f, x, x, n).to_float()
+            assert frobenius_norm(expansion_derivative(f, x, x, n) - got) \
+                <= 1e-5
+
+    def test_agrees_exactly_when_diagonalizable(self):
+        rng = random.Random(11)
+        f = polynomial([Fraction(1), Fraction(2), Fraction(-1), Fraction(1)])
+        _, dec = gen_fixture([(Fraction(1), [1, 1]), (Fraction(3), [1])],
+                             seed=2, exact=True)
+        x = dec.reconstruct()
+        y = rational_matrix(rng, 3)
+        for n in (1, 2, 3):
+            assert expansion_derivative(f, x, y, n) == \
+                nth_derivative(f, x, y, n)
 
 
 class TestOracles:

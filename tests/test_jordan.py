@@ -150,6 +150,15 @@ class TestErrors:
                            match=r"found \d+ chain vectors .* dim 10"):
             decompose(m)
 
+    def test_auto_reconstruction_guard(self):
+        # the rank profile gives the right signature, but the chains do
+        # not reproduce the matrix; the guard names residual and signature
+        m, _ = gen_fixture([(2.0, [3, 1])], seed=617739271)
+        with pytest.raises(DecompositionError,
+                           match=r"residual .* exceeds .* signature "
+                                 r"\(\(3, 1\),\)"):
+            decompose(m)
+
 
 # (structure, distinct eigenvalues, signature) with several chains per
 # eigenvalue; from_structure sorts eigenvalues and puts longer chains first

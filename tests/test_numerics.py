@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmoical import (DimensionMismatchError, Matrix, QC, SingularMatrixError,
-                     frobenius_norm, inverse, mat_mul)
+from gmoical import (DimensionMismatchError, Matrix, NumericsError, QC,
+                     SingularMatrixError, frobenius_norm, inverse, mat_mul)
 
 
 def qc(a, b=0):
@@ -122,6 +122,19 @@ class TestMatrix:
         obj = {"dim": 2, "entries": [[1, 0], [2, 0], [3, 0], [4, 0]]}
         m = Matrix.from_json(obj, exact=False)
         assert m.to_numpy()[1][0] == 3
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite(self, part, exact):
+        obj = {"dim": 1, "entries": [[[1, part]]]}
+        with pytest.raises(NumericsError, match="not finite"):
+            Matrix.from_json(obj, exact=exact)
+
+    def test_json_rejects_float_overflow(self):
+        obj = {"dim": 1, "entries": [[["1e999", 0]]]}
+        with pytest.raises(NumericsError, match="too large"):
+            Matrix.from_json(obj, exact=False)
+        assert not Matrix.from_json(obj, exact=True).is_zero()
 
     def test_to_float(self):
         m = Matrix([[qc(Fraction(1, 2)), qc(0)], [qc(0), qc(2)]], exact=True)

@@ -208,3 +208,21 @@ class TestJordanCoordinates:
         _assert_matches(got, eval_gmoi(GmoiProblem(beta, [x1, x2],
                                                    [y.reconstruct()])),
                         exact)
+
+
+def test_slot_sum_leaves_no_cyclic_garbage():
+    # the tabulated symbol and its divided-difference table are freed when
+    # the sum returns, not at a later full garbage collection
+    import gc
+    _, dec = gen_fixture([(1.0, [2]), (2.0, [1])], seed=1)
+    y = random_matrix(random.Random(0), 3)
+    beta = lift_divided_difference(polynomial([0.0, 1.0, 1.0, 0.5]), 1)
+    problem = GmoiProblem(beta, (dec, dec), (y,))
+    eval_gmoi(problem)
+    gc.collect()
+    gc.disable()
+    try:
+        eval_gmoi(problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
