@@ -11,17 +11,18 @@ from .analysis import (AnalysisError, ContinuityReport, NormBoundReport,
                        reverse_triangle_lower)
 from .derivative import (CrossTerm, DerivativeError, DerivativeExpansion,
                          GmoiTerm, ParameterPattern, build_expansion,
-                         expansion_oracle, fd_oracle, gamma, nth_derivative)
+                         contour_oracle, expansion_oracle, gamma,
+                         nth_derivative)
 from .engine import (EngineError, GmoiProblem, NilpotentPattern,
                      binary_selector, compose_check, decompose_by_parameters,
                      eval_classical_moi, eval_gmoi, pattern_terms)
 from .fixtures import (FixtureError, gen_fixture, random_fixture,
                        random_matrix, random_structure)
 from .functions import (FunctionError, MultiFunction, constant,
-                        divided_difference, exp_function, fd_check,
-                        function_from_json, lift_divided_difference,
-                        multivariate_polynomial, polynomial, power_function,
-                        product_symbol, rational_function, separable_product)
+                        divided_difference, exp_function, function_from_json,
+                        lift_divided_difference, multivariate_polynomial,
+                        polynomial, power_function, product_symbol,
+                        rational_function, separable_product)
 from .jordan import (DecompositionError, JordanDecomposition, SpectralBlock,
                      decompose, from_structure)
 from .numerics import (DimensionMismatchError, Matrix, NumericsError, QC,

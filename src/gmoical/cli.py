@@ -326,7 +326,7 @@ def continuity(beta_path, params, args_paths, directions, levels, tol,
 @click.option("--y", "y_path", required=True, type=click.Path(exists=True))
 @click.option("--order", default=1, show_default=True)
 @click.option("--verify", is_flag=True,
-              help="also report the finite-difference oracle residual")
+              help="also report the contour-integral oracle residual")
 @common_options
 @_guarded
 def derivative_cmd(function_path, x_path, y_path, order, verify, tol, exact,
@@ -340,7 +340,7 @@ def derivative_cmd(function_path, x_path, y_path, order, verify, tol, exact,
     result = derivative.nth_derivative(f, x, y, order, budget=budget, tol=tol)
     payload = {"order": order, "result": result.to_json()}
     if verify:
-        oracle = derivative.fd_oracle(f, x, y, order, tol=tol)
+        oracle = derivative.contour_oracle(f, x, y, order)
         payload["oracleResidual"] = frobenius_norm(
             result.to_float() - oracle)
     _emit(payload, as_json)

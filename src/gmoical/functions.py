@@ -328,13 +328,17 @@ def _node_key(z):
     return (z.real, z.imag)
 
 
-def _nodes_equal(a, b, tol):
+# float nodes closer than this, relative to their size, count as repeated
+NODE_TOL = 1e-8
+
+
+def _nodes_equal(a, b):
     if _is_exact(a):
         return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= NODE_TOL * max(1.0, abs(a), abs(b))
 
 
-def _near_equal_adjacent(nodes, tol):
+def _near_equal_adjacent(nodes):
     """Sorted ``nodes`` reordered so that each class of near-equal nodes
     (linked by ``_nodes_equal``) is contiguous: classes in the order of
     their first node, each in sorted order. The recursion treats a run as
@@ -353,8 +357,8 @@ def _near_equal_adjacent(nodes, tol):
     label = list(range(len(runs)))  # smallest run index of each class
     for j in range(1, len(runs)):
         for i in range(j):
-            if label[i] != label[j] and _nodes_equal(runs[i][0], runs[j][0],
-                                                     tol):
+            if (label[i] != label[j]
+                    and _nodes_equal(runs[i][0], runs[j][0])):
                 lo, hi = sorted((label[i], label[j]))
                 label = [lo if x == hi else x for x in label]
     order = sorted(range(len(runs)), key=label.__getitem__)
@@ -363,14 +367,15 @@ def _near_equal_adjacent(nodes, tol):
     return [z for i in order for z in runs[i]]
 
 
-def divided_difference(f, nodes, tol=1e-8, table=None):
+def divided_difference(f, nodes, table=None):
     """Confluent divided difference f[z_0, ..., z_k] of a univariate f.
 
-    Repeated nodes (exact equality in exact mode, relative tolerance in
-    float mode) use the derivative rule f[z ... z] = f^(s)(z)/s!.
+    Repeated nodes (exact equality in exact mode, relative distance at
+    most ``NODE_TOL`` in float mode) use the derivative rule
+    f[z ... z] = f^(s)(z)/s!.
 
     Every sub-difference is stored in ``table`` under its node tuple; a
-    dict passed in is shared with later calls on the same f and tol, which
+    dict passed in is shared with later calls on the same f, which
     then reuse what they have in common. Without one the table lives for
     this call only. The value is the same either way.
     """
@@ -383,84 +388,60 @@ def divided_difference(f, nodes, tol=1e-8, table=None):
         raise FunctionError(
             f"confluent divided difference may need derivatives up to "
             f"order {k}, function supports {f.max_order}")
-    nodes = _near_equal_adjacent(sorted(nodes, key=_node_key), tol)
-    return _dd(f, tuple(nodes), tol, {} if table is None else table)
+    nodes = _near_equal_adjacent(sorted(nodes, key=_node_key))
+    return _dd(f, tuple(nodes), {} if table is None else table)
 
 
 _MISSING = object()
 
 
-def _dd(f, nodes, tol, table):
+def _dd(f, nodes, table):
     val = table.get(nodes, _MISSING)
     if val is not _MISSING:
         return val
     first, last = nodes[0], nodes[-1]
-    if _nodes_equal(first, last, tol):
+    if _nodes_equal(first, last):
         s = len(nodes) - 1
         val = f.partial((s,), (first,)) / math.factorial(s)
     else:
-        val = ((_dd(f, nodes[1:], tol, table) - _dd(f, nodes[:-1], tol, table))
+        val = ((_dd(f, nodes[1:], table) - _dd(f, nodes[:-1], table))
                / (last - first))
     table[nodes] = val
     return val
 
 
-def lift_divided_difference(f, k, tol=1e-8):
+def lift_divided_difference(f, k):
     """The order-k divided-difference lift f^[k], an arity k+1 symmetric
     function. Its partial of orders (q_1,...,q_{k+1}) is the confluent
     divided difference with node j repeated q_j + 1 times, scaled by
     prod q_j!."""
     if f.arity != 1:
         raise FunctionError("lift needs a univariate function")
-    return _lift(f, k, tol, None)
+    return _lift(f, k, None)
 
 
-def _lift(f, k, tol, table):
+def _lift(f, k, table):
     """The lift; its divided differences share ``table`` when it is a
     dict, and each call has its own when it is None."""
 
     def ev(args):
-        return divided_difference(f, args, tol=tol, table=table)
+        return divided_difference(f, args, table=table)
 
     def pt(orders, args):
         expanded = []
         for q, z in zip(orders, args):
             expanded.extend([z] * (q + 1))
-        val = divided_difference(f, expanded, tol=tol, table=table)
+        val = divided_difference(f, expanded, table=table)
         for q in orders:
             val = val * math.factorial(q)
         return val
 
     def tabulate():
-        return _lift(f.tabulated(), k, tol, {})
+        return _lift(f.tabulated(), k, {})
 
     return MultiFunction(k + 1, ev, pt, kind="dd-lift",
                          meta={"base": f, "order": k},
                          tabulate=None if table is not None else tabulate)
-
-
-def fd_check(f, orders, args, step=1e-5):
-    """Finite-difference estimate of a mixed partial (float mode only):
-    tensor product of central stencils, O(step**2) accurate."""
-    args = [complex(a) if not _is_exact(a) else a.to_complex() for a in args]
-    stencils = []
-    for q in orders:
-        if q == 0:
-            stencils.append([(0.0, 1.0)])
-        else:
-            st = [(q / 2.0 - i, (-1) ** i * math.comb(q, i) / step ** q)
-                  for i in range(q + 1)]
-            stencils.append(st)
-    total = 0j
-    def rec(j, shifted, weight):
-        nonlocal total
-        if j == len(args):
-            total += weight * f.eval(*shifted)
-            return
-        for off, w in stencils[j]:
-            rec(j + 1, shifted + [args[j] + off * step], weight * w)
-    rec(0, [], 1.0)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,18 @@ def _sort_chains(chains, exact):
     return sorted(chains, key=key)
 
 
+def structure_dim(structure):
+    """The dimension covered by a list of (eigenvalue, [chain lengths...])
+    pairs; DecompositionError for a length that is not a positive
+    integer."""
+    lengths = [m for _, ms in structure for m in ms]
+    for m in lengths:
+        if not isinstance(m, int) or m < 1:
+            raise DecompositionError(
+                f"chain length {m!r} is not a positive integer")
+    return sum(lengths)
+
+
 def from_structure(structure, transform, exact=False):
     """Build a decomposition from a prescribed structure.
 
@@ -200,6 +212,11 @@ def from_structure(structure, transform, exact=False):
     transform: the similarity V whose columns are the Jordan chains, in
     structure order.
     """
+    dim = structure_dim(structure)
+    if dim != transform.dim:
+        raise DecompositionError(
+            f"structure covers {dim} columns but matrix has dim "
+            f"{transform.dim}")
     chains = []
     col = 0
     for lam, lengths in structure:
@@ -207,10 +224,6 @@ def from_structure(structure, transform, exact=False):
         for m in lengths:
             chains.append((lam, col, m))
             col += m
-    if col != transform.dim:
-        raise DecompositionError(
-            f"structure covers {col} columns but matrix has dim "
-            f"{transform.dim}")
     chains = _sort_chains(chains, exact)
     # re-pack V columns to the sorted chain order
     perm = [c for _, start, m in chains for c in range(start, start + m)]

@@ -253,6 +253,9 @@ class Matrix:
             raise NumericsError("matrix JSON must have 'dim' and 'entries'")
         entries = obj["entries"]
         dim = obj.get("dim", len(entries))
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise NumericsError(f"matrix JSON 'dim' must be a positive "
+                                f"integer, got {dim!r}")
         if (len(entries) == dim * dim and dim > 1
                 and all(len(e) == 2 and not isinstance(e[0], (list, tuple))
                         for e in entries)):

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from gmoical import (GmoiProblem, Matrix, compose_check, decompose,
-                     decompose_by_parameters, divided_difference,
+from gmoical import (GmoiProblem, Matrix, compose_check, contour_oracle,
+                     decompose, decompose_by_parameters, divided_difference,
                      eval_classical_moi, eval_gmoi, eval_multivariate,
-                     eval_univariate, expansion_oracle, fd_oracle,
-                     frobenius_norm, gen_fixture,
+                     eval_univariate, expansion_oracle, frobenius_norm,
+                     gen_fixture,
                      lift_divided_difference, lipschitz_check, mat_mul,
                      multivariate_polynomial, norm_report, nth_derivative,
                      pattern_terms, perturbation_check_gdoi,
@@ -274,7 +274,7 @@ def test_criterion_09_derivatives():
     fns = [polynomial([0.0, 0.0, 1.0]),
            polynomial([0.0, 0.0, 0.0, 1.0]),
            polynomial([1.0 / math.factorial(k) for k in range(9)])]
-    # first derivative vs the finite-difference oracle on 30 fixtures
+    # first derivative vs the contour-integral oracle on 30 fixtures
     for _ in range(30):
         dim = rng.randint(2, 4)
         m, _ = draw_fixture(rng, dim, max_block=2, exact=False,
@@ -282,8 +282,9 @@ def test_criterion_09_derivatives():
         y = float_matrix(rng, dim)
         for f in fns:
             got = nth_derivative(f, m, y, 1)
-            want = fd_oracle(f, m, y, 1, step=1e-2, stencil_width=7)
-            assert frobenius_norm(got - want) <= 1e-6
+            want = contour_oracle(f, m, y, 1)
+            assert frobenius_norm(got - want) <= \
+                1e-12 * frobenius_norm(want)
     # n = 2, 3 vs the polynomial expansion oracle: exact for rational
     # diagonalizable families
     fe = polynomial([Fraction(1), Fraction(2), Fraction(-1), Fraction(1),

@@ -217,10 +217,24 @@ class TestDerivative:
                                    "--json"])
         assert res.exit_code == 0
         payload = json.loads(res.output)
-        assert payload["oracleResidual"] <= 1e-5
         # d(X^2) along Y = XY + YX
         assert payload["result"]["entries"] == [
             [[0.0, 0.0], [3.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]]
+        assert payload["oracleResidual"] <= 1e-12 * 18 ** 0.5
+
+    def test_verify_pole_inside_circle(self, runner, tmp_path):
+        # no circle centred at 1 holds -1 and 3 but leaves out 3/2
+        x = _write(tmp_path, "x.json",
+                   {"dim": 2, "entries": [[-1, 0], [0, 0], [0, 0], [3, 0]]})
+        y = _write(tmp_path, "y.json",
+                   {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]})
+        f = _write(tmp_path, "f.json",
+                   {"kind": "rational", "num": [1], "den": ["-3/2", 1]})
+        argv = ["derivative", "--function", f, "--x", x, "--y", y]
+        assert runner.invoke(main, argv).exit_code == 0
+        res = runner.invoke(main, argv + ["--verify"])
+        assert res.exit_code == 2
+        assert "pole (1.5" in res.stderr
 
 
 class TestGenFixture:
@@ -248,6 +262,22 @@ class TestGenFixture:
     def test_bad_blocks_spec(self, runner):
         res = runner.invoke(main, ["gen-fixture", "--blocks", "nonsense"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("blocks, bad", [("1:2,1:0", "0"),
+                                             ("1:3,2:-1", "-1")])
+    def test_chain_length_below_one(self, runner, blocks, bad):
+        res = runner.invoke(main, ["gen-fixture", "--blocks", blocks])
+        assert res.exit_code == 2
+        assert f"chain length {bad} " in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("dim", ["2", 0, -1, 1.5, True])
+    def test_matrix_dim_not_positive_integer(self, runner, tmp_path, dim):
+        m = _write(tmp_path, "m.json", {"dim": dim, "entries": [
+            [1, 0], [0, 0], [0, 0], [1, 0]]})
+        res = runner.invoke(main, ["decompose", m])
+        assert res.exit_code == 2
+        assert m in res.stderr and "'dim'" in res.stderr
 
 
 class TestSelftest:

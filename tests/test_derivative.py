@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from gmoical import (DerivativeError, GmoiTerm, Matrix, ParameterPattern,
-                     build_expansion, expansion_oracle, fd_oracle,
-                     frobenius_norm, gamma, gen_fixture, inverse, mat_mul,
-                     nth_derivative, polynomial)
+                     build_expansion, contour_oracle, expansion_oracle,
+                     exp_function, frobenius_norm, gamma, gen_fixture,
+                     inverse, mat_mul, nth_derivative, polynomial,
+                     power_function, rational_function)
 from gmoical.analysis import StructureInstabilityError
 from conftest import draw_fixture, float_matrix, rational_matrix
 from expansion_reference import expansion_derivative
@@ -121,6 +122,7 @@ class TestExpansion:
 
 class TestFirstDerivative:
     def test_against_fd_oracle(self):
+        # the contour oracle took the finite difference's place
         rng = random.Random(0)
         fns = [polynomial([0.0, 0.0, 1.0]),
                polynomial([0.0, 0.0, 0.0, 1.0]),
@@ -131,8 +133,9 @@ class TestFirstDerivative:
             y = float_matrix(rng, 3)
             for f in fns:
                 got = nth_derivative(f, m, y, 1)
-                want = fd_oracle(f, m, y, 1, step=1e-2, stencil_width=7)
-                assert frobenius_norm(got - want) <= 1e-6
+                want = contour_oracle(f, m, y, 1)
+                assert frobenius_norm(got - want) <= \
+                    1e-12 * frobenius_norm(want)
 
     def test_exact_diagonalizable(self):
         rng = random.Random(1)
@@ -270,25 +273,89 @@ class TestExpansionReference:
 
 class TestOracles:
     def test_expansion_oracle_vs_fd(self):
+        # the two independent oracles agree on a generic float matrix
         rng = random.Random(6)
         f = polynomial([0.5, -1.0, 2.0, 1.0])
         m = float_matrix(rng, 3)
         y = float_matrix(rng, 3)
         for n in (1, 2, 3):
             a = expansion_oracle(f, m, y, n)
-            b = fd_oracle(f, m, y, n, step=1e-2, stencil_width=9)
-            assert frobenius_norm(a - b) <= 1e-6
+            b = contour_oracle(f, m, y, n)
+            assert frobenius_norm(a - b) <= 1e-12 * frobenius_norm(a)
+
+    def test_contour_vs_expansion_on_jordan_x(self):
+        # exact Jordan fixtures: the exact expansion, converted to float
+        rng = random.Random(12)
+        f = polynomial([Fraction(1), Fraction(2), Fraction(-1), Fraction(1),
+                        Fraction(0), Fraction(2)])
+        for seed, structure in enumerate(([(Fraction(0), [3]),
+                                           (Fraction(2), [1])],
+                                          [(Fraction(-1), [2]),
+                                           (Fraction(1), [2])],
+                                          [(Fraction(1), [2, 1])])):
+            _, dec = gen_fixture(structure, seed=seed, exact=True)
+            x = dec.reconstruct()
+            y = rational_matrix(rng, x.dim)
+            for n in (1, 2, 3, 4):
+                want = expansion_oracle(f, x, y, n).to_float()
+                got = contour_oracle(f, x, y, n)
+                assert frobenius_norm(got - want) <= \
+                    1e-12 * frobenius_norm(want)
 
     def test_fd_oracle_rational_function(self):
-        # f = 1/(2 - z) on a contraction: series vs rational inverse
+        # f = 1/(2 - z) on a contraction, against the resolvent product
         rng = random.Random(7)
-        from gmoical import rational_function
         f = rational_function([1.0], [2.0, -1.0])
         m = float_matrix(rng, 2).scale(0.2)
         y = float_matrix(rng, 2).scale(0.1)
-        got = fd_oracle(f, m, y, 1, step=1e-3, stencil_width=5)
+        got = contour_oracle(f, m, y, 1)
         # first derivative of (2I - M)^{-1} along Y is (2I-M)^{-1} Y (2I-M)^{-1}
         ident = type(m).identity(2, False)
         r = inverse(ident.scale(2) - m)
         want = mat_mul(mat_mul(r, y), r)
-        assert frobenius_norm(got - want) <= 1e-6
+        assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    def test_float_derivative_on_jordan_x(self):
+        # a generic Y splits X's Jordan block; the derivative at t=0 needs
+        # X's decomposition only, and no symbol kind needs more
+        x, y = _generic_family()
+        for f in (exp_function(), rational_function([1.0], [4.0, -1.0]),
+                  power_function(3),
+                  polynomial([0.0, 1.0, 1.0, 0.5, 0.25])):
+            for n in (1, 2):
+                want = contour_oracle(f, x, y, n)
+                got = nth_derivative(f, x, y, n)
+                assert frobenius_norm(got - want) <= \
+                    1e-12 * frobenius_norm(want)
+
+    def test_pole_inside_the_circle(self):
+        x = Matrix([[-1, 0], [0, 3]], exact=False)
+        y = float_matrix(random.Random(13), 2)
+        f = rational_function([1.0], [-1.5, 1.0])
+        with pytest.raises(DerivativeError, match=r"pole \(1\.5"):
+            contour_oracle(f, x, y, 1)
+        with pytest.raises(DerivativeError, match="pole 0j"):
+            contour_oracle(power_function(-1), x, y, 1)
+
+    def test_pole_next_to_the_spectrum(self):
+        # a circle between spectrum and pole converges too slowly to
+        # settle below the node cap
+        x = Matrix([[-1, 0], [0, 1]], exact=False)
+        y = float_matrix(random.Random(14), 2)
+        near = rational_function([1.0], [-1.001, 1.0])
+        with pytest.raises(DerivativeError, match="did not settle"):
+            contour_oracle(near, x, y, 1)
+        far = rational_function([1.0], [-1.01, 1.0])
+        want = nth_derivative(far, x, y, 1)
+        assert frobenius_norm(contour_oracle(far, x, y, 1) - want) <= \
+            1e-12 * frobenius_norm(want)
+
+    def test_zero_derivative(self):
+        # above the degree the sum is rounding noise: it settles at once
+        rng = random.Random(15)
+        f = polynomial([0.5, -1.0, 2.0])
+        for _ in range(20):
+            m, _ = draw_fixture(rng, 4, max_block=3, exact=False)
+            y = float_matrix(rng, 4)
+            got = contour_oracle(f, m, y, 3)
+            assert frobenius_norm(got) <= 1e-12 * frobenius_norm(y) ** 3

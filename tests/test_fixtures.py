@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from gmoical import (FixtureError, gen_fixture, random_fixture,
-                     random_matrix, random_structure)
+from gmoical import (DecompositionError, FixtureError, Matrix, gen_fixture,
+                     random_fixture, random_matrix, random_structure)
 
 
 class TestGenFixture:
@@ -30,6 +30,35 @@ class TestGenFixture:
         assert not dec.exact
         # blocks are reported in eigenvalue-sorted order
         assert dec.signature() == ((2,), (1, 1))
+
+    def test_chain_length_below_one_fails_at_once(self, monkeypatch):
+        import gmoical.fixtures as fixtures
+        draws = []
+        monkeypatch.setattr(fixtures, "_random_transform",
+                            lambda *a: draws.append(a))
+        for structure in ([(1.0, [2]), (1.0, [0])],
+                          [(1.0, [3]), (2.0, [-1])]):
+            with pytest.raises(DecompositionError, match="chain length"):
+                gen_fixture(structure, seed=0)
+        assert draws == []
+
+    def test_singular_transform_is_redrawn(self, monkeypatch):
+        import gmoical.fixtures as fixtures
+        draw = fixtures._random_transform
+        singular = Matrix([[1, 1], [1, 1]], exact=True)
+        draws = []
+
+        def two_singular_first(*a):
+            draws.append(a)
+            return singular if len(draws) <= 2 else draw(*a)
+
+        monkeypatch.setattr(fixtures, "_random_transform",
+                            two_singular_first)
+        _, dec = gen_fixture([(Fraction(1), [2])], seed=0, exact=True)
+        assert len(draws) == 3 and dec.transform != singular
+        draws.clear()
+        with pytest.raises(FixtureError, match="well-conditioned"):
+            gen_fixture([(Fraction(1), [2])], max_tries=2, exact=True)
 
     def test_condition_control(self):
         import numpy as np

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmoical import (FunctionError, GmoiProblem, MultiFunction,
-                     divided_difference, eval_gmoi, exp_function, fd_check,
+                     divided_difference, eval_gmoi, exp_function,
                      function_from_json, gen_fixture, lift_divided_difference,
                      multivariate_polynomial, polynomial, power_function,
                      product_symbol, QC, random_matrix, rational_function,
@@ -53,11 +53,6 @@ class TestPolynomials:
         assert f.partial((1, 0), (2.0, 3.0)) == pytest.approx(12.0)
         assert f.partial((1, 1), (2.0, 3.0)) == pytest.approx(4.0)
         assert f.partial((3, 0), (2.0, 3.0)) == 0
-
-    def test_fd_check_agrees(self):
-        f = multivariate_polynomial(2, [(1, (2, 2)), (-2, (1, 0))])
-        got = f.partial((1, 1), (0.7, -0.4))
-        assert fd_check(f, (1, 1), (0.7, -0.4)) == pytest.approx(got, abs=1e-4)
 
 
 class TestDividedDifference:

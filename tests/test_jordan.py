@@ -140,6 +140,13 @@ class TestErrors:
         with pytest.raises(DecompositionError):
             from_structure([(Fraction(1), [2])], v, exact=True)
 
+    @pytest.mark.parametrize("length", [0, -1, 1.0])
+    def test_chain_length_not_positive_integer(self, length):
+        v = Matrix.identity(3, True)
+        with pytest.raises(DecompositionError,
+                           match=f"chain length {length} is not"):
+            from_structure([(Fraction(1), [3, length])], v, exact=True)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_auto_chain_count_guard(self, seed):
         # the rank profile of these matrices yields more chain vectors

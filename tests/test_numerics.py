@@ -136,6 +136,14 @@ class TestMatrix:
             Matrix.from_json(obj, exact=False)
         assert not Matrix.from_json(obj, exact=True).is_zero()
 
+    @pytest.mark.parametrize("dim", ["2", 0, -2, 2.0, None])
+    def test_json_rejects_bad_dim(self, dim):
+        obj = {"dim": dim, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        with pytest.raises(NumericsError, match="'dim' must be a positive"):
+            Matrix.from_json(obj, exact=False)
+        with pytest.raises(NumericsError, match="'dim' must be a positive"):
+            Matrix.from_json({"entries": []}, exact=True)
+
     def test_to_float(self):
         m = Matrix([[qc(Fraction(1, 2)), qc(0)], [qc(0), qc(2)]], exact=True)
         f = m.to_float()
