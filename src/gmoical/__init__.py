@@ -5,10 +5,9 @@ continuity checks, and matrix-function derivatives.
 
 from .analysis import (AnalysisError, ContinuityReport, NormBoundReport,
                        PerturbationReport, StructureInstabilityError,
-                       continuity_experiment, explicit_cross_term,
-                       lipschitz_check, norm_report, operational_cross_term,
-                       perturbation_check_gdoi, perturbation_check_general,
-                       reverse_triangle_lower)
+                       continuity_experiment, lipschitz_check, norm_report,
+                       operational_cross_term, perturbation_check_gdoi,
+                       perturbation_check_general, reverse_triangle_lower)
 from .derivative import (CrossTerm, DerivativeError, DerivativeExpansion,
                          GmoiTerm, ParameterPattern, build_expansion,
                          contour_oracle, expansion_oracle, gamma,

@@ -8,12 +8,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import (GmoiProblem, NilpotentPattern, eval_gmoi,
-                     pattern_terms)
+from .engine import (GmoiProblem, eval_gmoi, eval_modes,
+                     nilpotent_patterns, pattern_terms)
 from .jordan import decompose
 from .numerics import Matrix, frobenius_norm, mat_mul
-from .spectral_map import (BudgetExceededError, effective_budget,
-                           slot_options)
 
 
 class AnalysisError(ValueError):
@@ -109,8 +107,8 @@ def _pattern_uppers(problem):
     nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
                   for q, npow in enumerate(b.powers, 1)]
                  for d in problem.params]
-    return [_pattern_upper(problem, NilpotentPattern(i, r), peak, nil_norms)
-            for i in range(2 ** r)]
+    return [_pattern_upper(problem, pattern, peak, nil_norms)
+            for pattern in nilpotent_patterns(r)]
 
 
 def norm_report(problem, budget=None):
@@ -176,128 +174,77 @@ def lipschitz_check(problem, args_alt, budget=None):
 # ---------------------------------------------------------------------------
 # perturbation corrections
 
-def _chain_positions(positions, args):
-    out = positions[0]
-    for k in range(1, len(positions)):
-        out = mat_mul(out, args[k - 1])
-        out = mat_mul(out, positions[k])
-    return out
+def _insert(seq, pos, *middle):
+    """``seq`` as a tuple with ``middle`` inserted before index ``pos``."""
+    return tuple(seq[:pos]) + middle + tuple(seq[pos:])
 
 
-def explicit_cross_term(beta_small, beta_big, slots, pair_pos, c_dec, d_dec,
-                        nilpotent_pair, args, budget=None):
-    """One named correction term, assembled literally as a sum over the
-    per-slot choices of the non-pair slots and the block/power choices of
-    the C/D pair.
+def _cross_keys(flank_modes, pos, nilpotent_pair):
+    """(big keys, small keys): the mode tuples of the pair and small
+    problems that one correction reads."""
+    pairs = (("N", "P"), ("P", "N")) if nilpotent_pair else (("P", "P"),)
+    single = "N" if nilpotent_pair else "P"
+    return ([_insert(flank_modes, pos, *p) for p in pairs],
+            [_insert(flank_modes, pos, single)])
 
-    slots: (decomposition, mode) per non-pair product position, in order;
-    pair_pos: index of the pair among the product positions;
-    nilpotent_pair: False for the C_P/D_P label (single sub-sum), True for
-    C_N/D_N (four sub-sums, the last one signed negative);
-    args: interleaved argument matrices (one per gap; the pair position
-    absorbs the C-D argument of the source integral).
-    """
-    dim = c_dec.dim
-    exact = c_dec.exact
-    zero = Matrix.zeros(dim, exact)
-    if len(args) != len(slots):
-        raise AnalysisError("cross term needs one argument per gap")
-    option_lists = [slot_options(dec, mode) for dec, mode in slots]
-    need = 1
-    for o in option_lists:
-        need *= max(len(o), 1)
-    need *= max(sum(b.order for b in c_dec.blocks), 1)
-    need *= max(sum(b.order for b in d_dec.blocks), 1)
-    if need > effective_budget(budget):
-        raise BudgetExceededError(need, effective_budget(budget))
-    if any(not o for o in option_lists):
-        return zero
-    out = zero
-    for combo in itertools.product(*option_lists):
-        lams = [c.eigenvalue for c in combo]
-        orders = [c.order for c in combo]
-        denom0 = 1
-        for q in orders:
-            denom0 *= math.factorial(q)
-        factors = [c.factor for c in combo]
 
-        def add(sign, beta, lam_mid, ord_mid, extra_fact, middle):
-            nonlocal out
-            lam_full = lams[:pair_pos] + list(lam_mid) + lams[pair_pos:]
-            ord_full = orders[:pair_pos] + list(ord_mid) + orders[pair_pos:]
-            coeff = beta.partial(ord_full, lam_full) / (denom0 * extra_fact)
-            if not coeff:
-                return
-            positions = factors[:pair_pos] + [middle] + factors[pair_pos:]
-            out = out + _chain_positions(positions, args).scale(
-                coeff if sign > 0 else -coeff)
+def _pair_walks(beta_small, beta_big, flank_decs, pos, c_dec, d_dec, args,
+                big_keys, small_keys, budget):
+    """Three walks: the pair problem with C, D at ``pos`` and C - D
+    between them, and the small problems with C and with D there; each a
+    {mode tuple: Matrix} over the requested keys. Both small walks
+    share one divided-difference table."""
+    beta_small = beta_small.tabulated()
+    diff = c_dec.reconstruct() - d_dec.reconstruct()
+    big = eval_modes(GmoiProblem(beta_big,
+                                 _insert(flank_decs, pos, c_dec, d_dec),
+                                 _insert(args, pos, diff)),
+                     big_keys, budget=budget)
+    small_c, small_d = (
+        eval_modes(GmoiProblem(beta_small, _insert(flank_decs, pos, dec),
+                               args), small_keys, budget=budget)
+        for dec in (c_dec, d_dec))
+    return big, small_c, small_d
 
-        for cb in c_dec.blocks:
-            for db in d_dec.blocks:
-                lc, ld = cb.eigenvalue, db.eigenvalue
-                cn = list(enumerate(cb.powers, 1))
-                dn = list(enumerate(db.powers, 1))
-                if not nilpotent_pair:
-                    for qc, ncq in cn:
-                        for qd, ndq in dn:
-                            mid = mat_mul(mat_mul(cb.projector, ncq - ndq),
-                                          db.projector)
-                            add(+1, beta_big, (lc, ld), (0, 0), 1, mid)
-                else:
-                    for qc, ncq in cn:
-                        for qd, ndq in dn:
-                            mid = mat_mul(cb.projector, mat_mul(ncq - ndq, ndq))
-                            add(+1, beta_big, (lc, ld), (0, qd),
-                                math.factorial(qd), mid)
-                            mid = mat_mul(mat_mul(ncq, ncq - ndq), db.projector)
-                            add(+1, beta_big, (lc, ld), (qc, 0),
-                                math.factorial(qc), mid)
-                    for qd, ndq in dn:
-                        add(+1, beta_small, (lc,), (qd,),
-                            math.factorial(qd), mat_mul(cb.projector, ndq))
-                    for qc, ncq in cn:
-                        add(-1, beta_small, (ld,), (qc,),
-                            math.factorial(qc), mat_mul(ncq, db.projector))
-    return out
+
+def _cross_term(walks, flank_modes, pos, nilpotent_pair):
+    """One correction from the walks of ``_pair_walks``."""
+    big, small_c, small_d = walks
+
+    def pair(mc, md):
+        return big[_insert(flank_modes, pos, mc, md)]
+
+    def small(walk, m):
+        return walk[_insert(flank_modes, pos, m)]
+
+    if nilpotent_pair:
+        return (pair("N", "P") + pair("P", "N")
+                - small(small_c, "N") + small(small_d, "N"))
+    return pair("P", "P") - small(small_c, "P") + small(small_d, "P")
 
 
 def operational_cross_term(beta_small, beta_big, slots, pair_pos, c_dec,
                            d_dec, nilpotent_pair, args, budget=None):
-    """The same named correction, computed from its defining rearrangement
-    as a combination of mode-restricted integrals:
+    """One named perturbation correction, computed from its defining
+    rearrangement as a combination of mode-restricted integrals:
 
     P-pair label:  T_big(pair modes P,P; C-D) - T_small(C, P) + T_small(D, P)
     N-pair label:  T_big(pair modes N,P; C-D) + T_big(pair modes P,N; C-D)
                    - T_small(C, N) + T_small(D, N)
 
-    with the flank slots held at the modes given in ``slots``. Summed over
-    all labels these cancel the difference of the unrestricted one-parameter
+    with the flank slots held at the modes given in ``slots``, a
+    (decomposition, mode) pair per non-pair slot. Summed over all labels
+    these cancel the difference of the unrestricted one-parameter
     integrals against the non-(N,N) part of the two-parameter integral,
     which is what the perturbation identity asserts.
     """
     flank_decs = [dec for dec, _ in slots]
     flank_modes = [mode for _, mode in slots]
-    diff = c_dec.reconstruct() - d_dec.reconstruct()
-
-    def big(mc, md):
-        params = flank_decs[:pair_pos] + [c_dec, d_dec] + flank_decs[pair_pos:]
-        gaps = list(args[:pair_pos]) + [diff] + list(args[pair_pos:])
-        modes = (tuple(flank_modes[:pair_pos]) + (mc, md)
-                 + tuple(flank_modes[pair_pos:]))
-        return eval_gmoi(GmoiProblem(beta_big, params, gaps), modes=modes,
-                         budget=budget)
-
-    def small(dec, m):
-        params = flank_decs[:pair_pos] + [dec] + flank_decs[pair_pos:]
-        modes = (tuple(flank_modes[:pair_pos]) + (m,)
-                 + tuple(flank_modes[pair_pos:]))
-        return eval_gmoi(GmoiProblem(beta_small, params, args), modes=modes,
-                         budget=budget)
-
-    if nilpotent_pair:
-        return (big("N", "P") + big("P", "N")
-                - small(c_dec, "N") + small(d_dec, "N"))
-    return big("P", "P") - small(c_dec, "P") + small(d_dec, "P")
+    walks = _pair_walks(beta_small, beta_big, flank_decs, pair_pos, c_dec,
+                        d_dec, args,
+                        *_cross_keys(flank_modes, pair_pos, nilpotent_pair),
+                        budget)
+    return _cross_term(walks, flank_modes, pair_pos, nilpotent_pair)
 
 
 @dataclass
@@ -314,41 +261,42 @@ def _perturbation_report(beta_small, beta_big, params, j, c_dec, d_dec, args,
                          budget):
     """The perturbation identity with the C/D pair in slot j of the
     zeta + 1 slots, between parameters j - 1 and j (1-based) of
-    ``params``; j = 1 has no left flank."""
-    beta_small = beta_small.tabulated()
-    beta_big = beta_big.tabulated()
-    diff = c_dec.reconstruct() - d_dec.reconstruct()
-    before, after = params[:j - 1], params[j - 1:]
-    params_big = before + [c_dec, d_dec] + after
-    args_big = args[:j - 1] + [diff] + args[j - 1:]
-    lhs = eval_gmoi(GmoiProblem(beta_big, params_big, args_big),
-                    budget=budget)
-    main = (eval_gmoi(GmoiProblem(beta_small, before + [c_dec] + after,
-                                  args), budget=budget)
-            - eval_gmoi(GmoiProblem(beta_small, before + [d_dec] + after,
-                                    args), budget=budget))
-    corrections = {}
-    trailing = {}
+    ``params``; j = 1 has no left flank. Every integral is a mode
+    restriction of one of three walks (see ``_pair_walks``)."""
+    pos = j - 1
+    corrections = []            # (label, flank modes, nilpotent pair)
+    trailing = []               # (label, pair-problem key)
     for left in ("P", "N") if j > 1 else (None,):
-        flank = [(p, "full") for p in params]
+        flank = ["full"] * len(params)
         tag = ""
         if left:
-            flank[j - 2] = (params[j - 2], left)
+            flank[j - 2] = left
             tag = f"X{j - 1}_{left},"
         for nil_pair, pair_tag in ((False, "C_P,D_P"), (True, "C_N,D_N")):
             for right in ("P", "N"):
-                flank[j - 1] = (params[j - 1], right)
-                corrections[f"X[{tag}{pair_tag},X{j}_{right}]"] = \
-                    operational_cross_term(beta_small, beta_big, flank,
-                                           j - 1, c_dec, d_dec, nil_pair,
-                                           args, budget=budget)
+                flank[j - 1] = right
+                corrections.append((f"X[{tag}{pair_tag},X{j}_{right}]",
+                                    tuple(flank), nil_pair))
         for right in ("P", "N"):
-            flank[j - 1] = (params[j - 1], right)
-            modes = [m for _, m in flank]
-            trailing[f"T[{tag}C_N,D_N,X{j}_{right}]"] = eval_gmoi(
-                GmoiProblem(beta_big, params_big, args_big),
-                modes=modes[:j - 1] + ["N", "N"] + modes[j - 1:],
-                budget=budget)
+            flank[j - 1] = right
+            trailing.append((f"T[{tag}C_N,D_N,X{j}_{right}]",
+                             _insert(flank, pos, "N", "N")))
+    full_big = ("full",) * (len(params) + 2)
+    full_small = full_big[1:]
+    big_keys = [full_big] + [key for _, key in trailing]
+    small_keys = [full_small]
+    for _, flank, nil_pair in corrections:
+        more_big, more_small = _cross_keys(flank, pos, nil_pair)
+        big_keys += more_big
+        small_keys += more_small
+    walks = _pair_walks(beta_small, beta_big, params, pos, c_dec, d_dec,
+                        args, big_keys, small_keys, budget)
+    big, small_c, small_d = walks
+    lhs = big[full_big]
+    main = small_c[full_small] - small_d[full_small]
+    corrections = {label: _cross_term(walks, flank, pos, nil_pair)
+                   for label, flank, nil_pair in corrections}
+    trailing = {label: big[key] for label, key in trailing}
     rhs = main
     for m in corrections.values():
         rhs = rhs + m

@@ -183,13 +183,16 @@ def gmoi(beta_path, params, args_paths, patterns, dump_terms, tol, exact,
     decs = _decompose_all(params, exact, tol)
     args = _load_matrices(args_paths, exact)
     problem = engine.GmoiProblem(beta, decs, args)
-    result = engine.eval_gmoi(problem, budget=budget)
-    payload = {"result": result.to_json()}
-    if patterns or dump_terms:
+    full = ("full",) * len(decs)
+    pats = (engine.nilpotent_patterns(len(decs)) if patterns or dump_terms
+            else [])
+    sums = engine.eval_modes(problem, [full] + [pat.modes for pat in pats],
+                             budget=budget)
+    payload = {"result": sums[full].to_json()}
+    if pats:
         payload["patterns"] = [
             {"index": pat.index, "modes": list(pat.modes),
-             "term": term.to_json()}
-            for pat, term in engine.pattern_terms(problem, budget=budget)]
+             "term": sums[pat.modes].to_json()} for pat in pats]
     _emit(payload, as_json)
 
 

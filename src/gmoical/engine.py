@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .numerics import Matrix, mat_mul
-from .spectral_map import (DEFAULT_BUDGET, BudgetExceededError,
-                           effective_budget, eval_slot_sum, slot_options)
+from .numerics import Matrix
+from .spectral_map import eval_slot_sum, slot_options
 
 
 class EngineError(ValueError):
@@ -91,19 +90,33 @@ def binary_selector(i, width):
     return tuple((i >> (width - 1 - j)) & 1 for j in range(width))
 
 
+def eval_modes(problem, keys, budget=None):
+    """The integral restricted by each mode tuple of ``keys`` (one "P",
+    "N" or "full" per parameter slot), all from one slot-sum walk:
+    {key: Matrix}. Slot j enumerates the options that some key admits
+    there, so a lone key walks its own restricted options only."""
+    r = problem.zeta + 1
+    keys = [tuple(k) for k in keys]
+    if any(len(k) != r for k in keys):
+        raise EngineError("need one mode per parameter slot")
+    opts = []
+    for j, dec in enumerate(problem.params):
+        modes = {k[j] for k in keys}
+        if not modes <= {"P", "N", "full"}:
+            raise EngineError(f"unknown slot modes {sorted(modes)}")
+        opts.append(slot_options(dec, modes.pop() if len(modes) == 1
+                                 else "full"))
+    sums = eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
+                         dim=problem.dim, exact=problem.exact, budget=budget,
+                         keys=keys)
+    return dict(zip(keys, sums))
+
+
 def eval_gmoi(problem, modes=None, budget=None):
     """Evaluate the integral; ``modes`` optionally restricts each
     parameter slot to "P", "N", or "full" (default)."""
-    r = problem.zeta + 1
-    if modes is None:
-        modes = ("full",) * r
-    if len(modes) != r:
-        raise EngineError("need one mode per parameter slot")
-    opts = [slot_options(d, m) for d, m in zip(problem.params, modes)]
-    if any(not o for o in opts):
-        return Matrix.zeros(problem.dim, problem.exact)
-    return eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
-                         dim=problem.dim, exact=problem.exact, budget=budget)
+    key = ("full",) * (problem.zeta + 1) if modes is None else tuple(modes)
+    return eval_modes(problem, [key], budget=budget)[key]
 
 
 def eval_classical_moi(problem, budget=None):
@@ -118,17 +131,20 @@ def eval_classical_moi(problem, budget=None):
                      budget=budget)
 
 
+def nilpotent_patterns(width):
+    """The 2**width nilpotent patterns of ``width`` slots, in index
+    order."""
+    return [NilpotentPattern(i, width) for i in range(2 ** width)]
+
+
 def pattern_terms(problem, budget=None):
     """The 2**(zeta+1) nilpotent-pattern terms A_{i'} whose sum is the
     integral: term i' restricts slot j to N if bit j of i' (MSB first) is
-    set, else P."""
-    problem = problem.tabulated()
-    r = problem.zeta + 1
-    out = []
-    for i in range(2 ** r):
-        pat = NilpotentPattern(i, r)
-        out.append((pat, eval_gmoi(problem, modes=pat.modes, budget=budget)))
-    return out
+    set, else P. One walk gives them all."""
+    patterns = nilpotent_patterns(problem.zeta + 1)
+    terms = eval_modes(problem, [pat.modes for pat in patterns],
+                       budget=budget)
+    return [(pat, terms[pat.modes]) for pat in patterns]
 
 
 def decompose_by_parameters(problem, budget=None):

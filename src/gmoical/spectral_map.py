@@ -16,23 +16,32 @@ product of its own, only row and column moves (see ``eval_slot_sum``).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
 
-from .jordan import shift_factor
 from .numerics import QC, Matrix, mat_mul, scalar
 
 DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, needed, budget):
+    """A slot sum needs more terms than the budget allows. ``dim``,
+    ``options`` (the option count of each slot) and ``keys`` (the requested
+    mode tuples, None for a plain sum) name the walk."""
+
+    def __init__(self, needed, budget, dim, options, keys=None):
+        walk = f"dim {dim}, options per slot {list(options)}"
+        if keys is not None:
+            walk += ", modes " + " ".join(f"({','.join(k)})" for k in keys)
         super().__init__(
-            f"term budget exceeded: {needed} terms > budget {budget}")
+            f"term budget exceeded: {needed} terms > budget {budget} "
+            f"({walk})")
         self.needed = needed
         self.budget = budget
+        self.dim = dim
+        self.options = tuple(options)
+        self.keys = None if keys is None else tuple(map(tuple, keys))
 
 
 def effective_budget(budget=None):
@@ -49,18 +58,12 @@ class SlotChoice:
     """One option of a slot: a distinct eigenvalue of ``dec`` and an order
     q below its longest chain. ``pairs`` are the positions of the ones of
     the 0/1 matrix E, the q-th shift power on the eigenvalue's chains in
-    the column order of ``dec.transform``; the slot factor is V E V^-1."""
+    the column order of ``dec.transform``; the slot factor is V E V^-1:
+    the projector P for order 0, else the nilpotent power N**q."""
     eigenvalue: object
     order: int
     pairs: tuple
     dec: object         # JordanDecomposition
-
-    @functools.cached_property
-    def factor(self):
-        """The dense factor V E V^-1: the projector P for order 0, else
-        the nilpotent power N**q."""
-        return shift_factor(self.dec.transform, self.dec.transform_inv,
-                            self.pairs)
 
 
 def slot_options(dec, mode="full"):
@@ -94,7 +97,7 @@ def _add_column_shift(acc, m, pairs):
 
 
 def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
-                  exact=False, budget=None):
+                  exact=False, budget=None, keys=None):
     """Sum over all per-slot choice combinations of
     coeff * F_1 A_1 F_2 A_2 ... A_{r-1} F_r where F_j is the chosen factor,
     the A_j are the ``interleave`` matrices (absent when None), and
@@ -109,21 +112,42 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     column-shifted partial products and multiplies the sum by its B_j.
     The coefficients come from ``symbol.tabulated()``, so the sum computes
     each divided difference once.
+
+    ``keys``, a list of mode tuples (one "P", "N" or "full" per slot),
+    makes one walk return one sum per key: the terms whose slot j option
+    is a projector (order 0) where the key says "P" and a nilpotent power
+    where it says "N". The basis changes and coefficients are computed
+    once; keys that agree on slots 1..j share the partial sums of those
+    slots, and each sum receives its terms in the order of a walk over
+    its own restricted option lists, so it is the same bit for bit.
+    Without ``keys`` the call returns the one full sum.
     """
     budget = effective_budget(budget)
     needed = count_terms(option_lists)
+    if dim is None:
+        dim = option_lists[0][0].dec.dim
     if needed > budget:
-        raise BudgetExceededError(needed, budget)
+        raise BudgetExceededError(needed, budget, dim,
+                                  [len(o) for o in option_lists], keys)
     r = len(option_lists)
     if interleave is None:
         interleave = [None] * (r - 1)
     if len(interleave) != r - 1:
         raise ValueError("need one interleaved argument between slots")
-    if dim is None:
-        dim = option_lists[0][0].dec.dim
-    if not needed:
-        return Matrix.zeros(dim, exact)
-    symbol = symbol.tabulated()
+    wanted = [("full",) * r] if keys is None else [tuple(k) for k in keys]
+    totals = {}
+    if needed:
+        totals = _walk(symbol.tabulated(), option_lists, interleave, dim,
+                       exact, wanted)
+    zero = Matrix.zeros(dim, exact)
+    out = [totals.get(k, zero) for k in wanted]
+    return out[0] if keys is None else out
+
+
+def _walk(symbol, option_lists, interleave, dim, exact, keys):
+    """{key: sum} of ``eval_slot_sum`` for the distinct ``keys`` whose sum
+    has a nonzero coefficient."""
+    r = len(option_lists)
     decs = [opts[0].dec for opts in option_lists]
     basis = []
     for j in range(r - 1):
@@ -136,6 +160,20 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     zero = QC(0) if exact else 0j
     lams = [None] * r
     orders = [0] * r
+    routes = {}
+
+    def route(j, active):
+        """For slot j and the keys ``active`` (a tuple): per option kind
+        (projector, nilpotent power), the keys that admit it and their
+        distinct heads key[:j+1]."""
+        if (j, active) not in routes:
+            kinds = []
+            for kind in ("P", "N"):
+                sub = tuple(k for k in active if k[j] in ("full", kind))
+                kinds.append((sub, tuple(dict.fromkeys(k[:j + 1]
+                                                      for k in sub))))
+            routes[j, active] = kinds
+        return routes[j, active]
 
     def coefficient():
         coeff = symbol.partial(orders, lams)
@@ -148,41 +186,51 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
             coeff = coeff / denom
         return scalar(coeff, exact)
 
-    def contract(j):
-        """sum over the options of slots 1..j of coeff E_1 B_1 ... E_j B_j
-        for the options chosen in the later slots, as rows; None when
-        every coefficient vanishes."""
-        acc = None
+    def contract(j, active):
+        """{head: sum over the options of slots 1..j of
+        coeff E_1 B_1 ... E_j B_j, as rows} for the options chosen in the
+        later slots, one entry per head key[:j+1] of the keys ``active``
+        whose coefficients do not all vanish."""
+        accs = {}
+        kinds = route(j, active)
         for choice in option_lists[j]:
+            sub, heads = kinds[choice.order > 0]
+            if not sub:
+                continue
             lams[j] = choice.eigenvalue
             orders[j] = choice.order
             if j == 0:
                 c = coefficient()
                 if c is None:
                     continue
-                if acc is None:
-                    acc = [[zero] * dim for _ in range(dim)]
-                for i, k in choice.pairs:
-                    acc[i] = [x + c * y for x, y in zip(acc[i], first[k])]
-            else:
-                m = contract(j - 1)
+                for head in heads:
+                    acc = accs.get(head)
+                    if acc is None:
+                        acc = accs[head] = [[zero] * dim for _ in range(dim)]
+                    for i, k in choice.pairs:
+                        acc[i] = [x + c * y for x, y in zip(acc[i], first[k])]
+                continue
+            inner = contract(j - 1, sub)
+            for head in heads:
+                m = inner.get(head[:-1])
                 if m is None:
                     continue
+                acc = accs.get(head)
                 if acc is None:
-                    acc = [[zero] * dim for _ in range(dim)]
+                    acc = accs[head] = [[zero] * dim for _ in range(dim)]
                 _add_column_shift(acc, m, choice.pairs)
-        if acc is None or j == 0:
-            return acc
-        return mat_mul(Matrix(acc, exact=exact), basis[j]).rows
+        if j == 0:
+            return accs
+        return {head: mat_mul(Matrix(acc, exact=exact), basis[j]).rows
+                for head, acc in accs.items()}
 
-    total = contract(r - 1)
+    totals = contract(r - 1, tuple(dict.fromkeys(keys)))
     # contract holds itself through its closure cell; clearing the cell
     # frees the tabulated symbol's table now, not at a later full garbage
     # collection, which long runs of slot sums reach late
     del contract
-    if total is None:
-        return Matrix.zeros(dim, exact)
-    return mat_mul(decs[0].transform, Matrix(total, exact=exact))
+    return {k: mat_mul(decs[0].transform, Matrix(rows, exact=exact))
+            for k, rows in totals.items()}
 
 
 def eval_univariate(f, dec, budget=None):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gmoical import (GmoiProblem, StructureInstabilityError,
-                     continuity_experiment, eval_gmoi, explicit_cross_term,
+                     continuity_experiment, eval_gmoi,
                      frobenius_norm, gen_fixture, lift_divided_difference,
                      lipschitz_check, norm_report, operational_cross_term,
                      perturbation_check_gdoi, perturbation_check_general,
@@ -16,6 +16,7 @@ from gmoical import Matrix
 from gmoical.analysis import AnalysisError
 from conftest import (bound_domain_dec, draw_fixture, float_matrix,
                       rational_matrix, unit_beta)
+from cross_term_reference import explicit_cross_term
 
 
 def _poly_lift(rng, zeta, exact=True):

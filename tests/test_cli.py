@@ -159,6 +159,23 @@ class TestBounds:
             assert key in payload
         assert payload["sortedLower"] <= payload["actualNorm"] + 1e-9
 
+    def test_budget_error_names_the_walk(self, runner, tmp_path, jordan2):
+        # each of the four patterns has one term, but the report's one
+        # walk enumerates all four
+        beta = _write(tmp_path, "one.json", {
+            "kind": "polynomial-multi", "arity": 2,
+            "terms": [{"coeff": 1, "exponents": [1, 0]}]})
+        y = _write(tmp_path, "y.json",
+                   {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]})
+        res = runner.invoke(main, ["bounds", "--beta", beta,
+                                   "--params", f"{jordan2},{jordan2}",
+                                   "--args", y, "--budget", "3"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: term budget exceeded: 4 terms > budget 3 (dim 2, "
+            "options per slot [2, 2], modes (P,P) (P,N) (N,P) (N,N))\n")
+
 
 class TestLipschitz:
     def test_equal_args_zero(self, runner, tmp_path, jordan2):
