@@ -129,21 +129,28 @@ class JordanDecomposition:
         return tuple(tuple(b.order for b in c.blocks)
                      for c in self.components)
 
-    def reconstruct(self):
-        out = Matrix.zeros(self.dim, self.exact)
+    def _similar(self, diagonal, shift):
+        """V M V^-1 for M in Jordan coordinates: the eigenvalues on the
+        diagonal if ``diagonal``, plus the chains' shift S if ``shift``.
+        Column c of V M is lambda_c v_c plus v_{c-1} inside a chain, so
+        this is one product."""
+        zero = QC(0) if self.exact else 0j
+        vm = [[zero] * self.dim for _ in range(self.dim)]
         for b in self.blocks:
-            out = out + b.projector.scale(b.eigenvalue) + b.nilpotent
-        return out
+            for c in range(b.start, b.start + b.order):
+                for row, vrow in zip(vm, self.transform.rows):
+                    x = b.eigenvalue * vrow[c] if diagonal else zero
+                    row[c] = x + vrow[c - 1] if shift and c > b.start else x
+        return mat_mul(Matrix(vm, exact=self.exact), self.transform_inv)
+
+    def reconstruct(self):
+        """X = V J V^-1."""
+        return self._similar(True, True)
 
     def split_parts(self):
         """(sum of lambda*P, sum of N): the commuting diagonalizable and
         nilpotent parts of the matrix."""
-        d = Matrix.zeros(self.dim, self.exact)
-        n = Matrix.zeros(self.dim, self.exact)
-        for b in self.blocks:
-            d = d + b.projector.scale(b.eigenvalue)
-            n = n + b.nilpotent
-        return d, n
+        return self._similar(True, False), self._similar(False, True)
 
     def validate(self, x=None):
         """Residual report: completeness, idempotency, orthogonality,
