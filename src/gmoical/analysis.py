@@ -179,48 +179,41 @@ def _insert(seq, pos, *middle):
     return tuple(seq[:pos]) + middle + tuple(seq[pos:])
 
 
-def _cross_keys(flank_modes, pos, nilpotent_pair):
-    """(big keys, small keys): the mode tuples of the pair and small
-    problems that one correction reads."""
+def _cross_reads(flank_modes, pos, nilpotent_pair):
+    """One correction as signed reads (sign, walk, mode tuple) of the
+    walks of ``_pair_walks``, in the order they are summed."""
     pairs = (("N", "P"), ("P", "N")) if nilpotent_pair else (("P", "P"),)
-    single = "N" if nilpotent_pair else "P"
-    return ([_insert(flank_modes, pos, *p) for p in pairs],
-            [_insert(flank_modes, pos, single)])
+    single = _insert(flank_modes, pos, "N" if nilpotent_pair else "P")
+    return ([(1, 0, _insert(flank_modes, pos, *p)) for p in pairs]
+            + [(-1, 1, single), (1, 2, single)])
 
 
 def _pair_walks(beta_small, beta_big, flank_decs, pos, c_dec, d_dec, args,
-                big_keys, small_keys, budget):
-    """Three walks: the pair problem with C, D at ``pos`` and C - D
-    between them, and the small problems with C and with D there; each a
-    {mode tuple: Matrix} over the requested keys. Both small walks
-    share one divided-difference table."""
+                reads, budget):
+    """The three walks that the lists of ``reads`` need, each a
+    {mode tuple: Matrix}: walk 0 is the pair problem, with C, D at
+    ``pos`` and C - D between them, and walks 1 and 2 are the small
+    problems with C and with D there, which share one table."""
+    keys = [[], [], []]
+    for _, walk, key in itertools.chain(*reads):
+        keys[walk].append(key)
     beta_small = beta_small.tabulated()
     diff = c_dec.reconstruct() - d_dec.reconstruct()
-    big = eval_modes(GmoiProblem(beta_big,
-                                 _insert(flank_decs, pos, c_dec, d_dec),
-                                 _insert(args, pos, diff)),
-                     big_keys, budget=budget)
-    small_c, small_d = (
+    return [eval_modes(GmoiProblem(beta_big,
+                                   _insert(flank_decs, pos, c_dec, d_dec),
+                                   _insert(args, pos, diff)),
+                       keys[0], budget=budget)] + [
         eval_modes(GmoiProblem(beta_small, _insert(flank_decs, pos, dec),
-                               args), small_keys, budget=budget)
-        for dec in (c_dec, d_dec))
-    return big, small_c, small_d
+                               args), walk_keys, budget=budget)
+        for dec, walk_keys in ((c_dec, keys[1]), (d_dec, keys[2]))]
 
 
-def _cross_term(walks, flank_modes, pos, nilpotent_pair):
-    """One correction from the walks of ``_pair_walks``."""
-    big, small_c, small_d = walks
-
-    def pair(mc, md):
-        return big[_insert(flank_modes, pos, mc, md)]
-
-    def small(walk, m):
-        return walk[_insert(flank_modes, pos, m)]
-
-    if nilpotent_pair:
-        return (pair("N", "P") + pair("P", "N")
-                - small(small_c, "N") + small(small_d, "N"))
-    return pair("P", "P") - small(small_c, "P") + small(small_d, "P")
+def _sum_reads(walks, reads):
+    (_, walk, key), *rest = reads
+    out = walks[walk][key]
+    for sign, walk, key in rest:
+        out = out + walks[walk][key] if sign > 0 else out - walks[walk][key]
+    return out
 
 
 def operational_cross_term(beta_small, beta_big, slots, pair_pos, c_dec,
@@ -238,13 +231,12 @@ def operational_cross_term(beta_small, beta_big, slots, pair_pos, c_dec,
     integrals against the non-(N,N) part of the two-parameter integral,
     which is what the perturbation identity asserts.
     """
-    flank_decs = [dec for dec, _ in slots]
-    flank_modes = [mode for _, mode in slots]
-    walks = _pair_walks(beta_small, beta_big, flank_decs, pair_pos, c_dec,
-                        d_dec, args,
-                        *_cross_keys(flank_modes, pair_pos, nilpotent_pair),
-                        budget)
-    return _cross_term(walks, flank_modes, pair_pos, nilpotent_pair)
+    reads = _cross_reads([mode for _, mode in slots], pair_pos,
+                         nilpotent_pair)
+    return _sum_reads(_pair_walks(beta_small, beta_big,
+                                  [dec for dec, _ in slots], pair_pos,
+                                  c_dec, d_dec, args, [reads], budget),
+                      reads)
 
 
 @dataclass
@@ -264,8 +256,11 @@ def _perturbation_report(beta_small, beta_big, params, j, c_dec, d_dec, args,
     ``params``; j = 1 has no left flank. Every integral is a mode
     restriction of one of three walks (see ``_pair_walks``)."""
     pos = j - 1
-    corrections = []            # (label, flank modes, nilpotent pair)
-    trailing = []               # (label, pair-problem key)
+    full = ("full",) * (len(params) + 2)
+    lhs = [(1, 0, full)]
+    main = [(1, 1, full[1:]), (-1, 2, full[1:])]
+    corrections = {}            # label -> reads, as ``_cross_reads``
+    trailing = {}
     for left in ("P", "N") if j > 1 else (None,):
         flank = ["full"] * len(params)
         tag = ""
@@ -275,28 +270,19 @@ def _perturbation_report(beta_small, beta_big, params, j, c_dec, d_dec, args,
         for nil_pair, pair_tag in ((False, "C_P,D_P"), (True, "C_N,D_N")):
             for right in ("P", "N"):
                 flank[j - 1] = right
-                corrections.append((f"X[{tag}{pair_tag},X{j}_{right}]",
-                                    tuple(flank), nil_pair))
+                corrections[f"X[{tag}{pair_tag},X{j}_{right}]"] = \
+                    _cross_reads(flank, pos, nil_pair)
         for right in ("P", "N"):
             flank[j - 1] = right
-            trailing.append((f"T[{tag}C_N,D_N,X{j}_{right}]",
-                             _insert(flank, pos, "N", "N")))
-    full_big = ("full",) * (len(params) + 2)
-    full_small = full_big[1:]
-    big_keys = [full_big] + [key for _, key in trailing]
-    small_keys = [full_small]
-    for _, flank, nil_pair in corrections:
-        more_big, more_small = _cross_keys(flank, pos, nil_pair)
-        big_keys += more_big
-        small_keys += more_small
+            trailing[f"T[{tag}C_N,D_N,X{j}_{right}]"] = [
+                (1, 0, _insert(flank, pos, "N", "N"))]
     walks = _pair_walks(beta_small, beta_big, params, pos, c_dec, d_dec,
-                        args, big_keys, small_keys, budget)
-    big, small_c, small_d = walks
-    lhs = big[full_big]
-    main = small_c[full_small] - small_d[full_small]
-    corrections = {label: _cross_term(walks, flank, pos, nil_pair)
-                   for label, flank, nil_pair in corrections}
-    trailing = {label: big[key] for label, key in trailing}
+                        args, [lhs, main, *corrections.values(),
+                               *trailing.values()], budget)
+    lhs, main = _sum_reads(walks, lhs), _sum_reads(walks, main)
+    corrections, trailing = (
+        {label: _sum_reads(walks, reads) for label, reads in part.items()}
+        for part in (corrections, trailing))
     rhs = main
     for m in corrections.values():
         rhs = rhs + m

@@ -7,7 +7,8 @@ option per distinct eigenvalue and order in each slot, the arguments
 interleaved between the slot factors, evaluated in Jordan coordinates
 (each argument enters once, as V_j^-1 A_j V_{j+1}). Per-slot mode
 restrictions (P or N options only) give the nilpotent-pattern terms and
-every sub-sum used by the analysis and derivative layers.
+every sub-sum of the analysis layer's reports; ``eval_modes`` evaluates
+any set of them from one walk, and every evaluator here is a case of it.
 """
 
 from __future__ import annotations

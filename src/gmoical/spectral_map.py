@@ -7,7 +7,9 @@ projector P (derivative order 0) or a power N**q of its nilpotent part
 mixed partial at the chosen eigenvalues divided by prod q_j!. The
 coefficient depends only on (eigenvalue, order), so one option covers all
 chains of an eigenvalue. Restricting a slot's choices to P only or N only
-realizes every mode-restricted variant used downstream.
+realizes every mode-restricted variant used downstream, and one walk
+returns any number of such restrictions at once (the ``keys`` of
+``eval_slot_sum``), computing the basis changes and coefficients once.
 
 Sums are evaluated in Jordan coordinates: with X_j = V_j J_j V_j^-1 every
 factor is V_j E V_j^-1 for a 0/1 shift E, so a term needs no dense
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .numerics import QC, Matrix, mat_mul, scalar
@@ -135,19 +138,10 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     if len(interleave) != r - 1:
         raise ValueError("need one interleaved argument between slots")
     wanted = [("full",) * r] if keys is None else [tuple(k) for k in keys]
-    totals = {}
-    if needed:
-        totals = _walk(symbol.tabulated(), option_lists, interleave, dim,
-                       exact, wanted)
-    zero = Matrix.zeros(dim, exact)
-    out = [totals.get(k, zero) for k in wanted]
-    return out[0] if keys is None else out
-
-
-def _walk(symbol, option_lists, interleave, dim, exact, keys):
-    """{key: sum} of ``eval_slot_sum`` for the distinct ``keys`` whose sum
-    has a nonzero coefficient."""
-    r = len(option_lists)
+    zero_sum = Matrix.zeros(dim, exact)
+    if not needed:
+        return zero_sum if keys is None else [zero_sum] * len(wanted)
+    symbol = symbol.tabulated()
     decs = [opts[0].dec for opts in option_lists]
     basis = []
     for j in range(r - 1):
@@ -161,19 +155,6 @@ def _walk(symbol, option_lists, interleave, dim, exact, keys):
     lams = [None] * r
     orders = [0] * r
     routes = {}
-
-    def route(j, active):
-        """For slot j and the keys ``active`` (a tuple): per option kind
-        (projector, nilpotent power), the keys that admit it and their
-        distinct heads key[:j+1]."""
-        if (j, active) not in routes:
-            kinds = []
-            for kind in ("P", "N"):
-                sub = tuple(k for k in active if k[j] in ("full", kind))
-                kinds.append((sub, tuple(dict.fromkeys(k[:j + 1]
-                                                      for k in sub))))
-            routes[j, active] = kinds
-        return routes[j, active]
 
     def coefficient():
         coeff = symbol.partial(orders, lams)
@@ -191,8 +172,15 @@ def _walk(symbol, option_lists, interleave, dim, exact, keys):
         coeff E_1 B_1 ... E_j B_j, as rows} for the options chosen in the
         later slots, one entry per head key[:j+1] of the keys ``active``
         whose coefficients do not all vanish."""
-        accs = {}
-        kinds = route(j, active)
+        if (j, active) not in routes:
+            # per option kind (projector, nilpotent power): the active keys
+            # that admit it, and their distinct heads
+            routes[j, active] = [
+                (sub, tuple(dict.fromkeys(k[:j + 1] for k in sub)))
+                for sub in (tuple(k for k in active if k[j] in ("full", kind))
+                            for kind in "PN")]
+        kinds = routes[j, active]
+        accs = defaultdict(lambda: [[zero] * dim for _ in range(dim)])
         for choice in option_lists[j]:
             sub, heads = kinds[choice.order > 0]
             if not sub:
@@ -204,33 +192,29 @@ def _walk(symbol, option_lists, interleave, dim, exact, keys):
                 if c is None:
                     continue
                 for head in heads:
-                    acc = accs.get(head)
-                    if acc is None:
-                        acc = accs[head] = [[zero] * dim for _ in range(dim)]
+                    acc = accs[head]
                     for i, k in choice.pairs:
                         acc[i] = [x + c * y for x, y in zip(acc[i], first[k])]
                 continue
             inner = contract(j - 1, sub)
             for head in heads:
-                m = inner.get(head[:-1])
-                if m is None:
-                    continue
-                acc = accs.get(head)
-                if acc is None:
-                    acc = accs[head] = [[zero] * dim for _ in range(dim)]
-                _add_column_shift(acc, m, choice.pairs)
+                if head[:-1] in inner:
+                    _add_column_shift(accs[head], inner[head[:-1]],
+                                      choice.pairs)
         if j == 0:
             return accs
         return {head: mat_mul(Matrix(acc, exact=exact), basis[j]).rows
                 for head, acc in accs.items()}
 
-    totals = contract(r - 1, tuple(dict.fromkeys(keys)))
+    totals = contract(r - 1, tuple(dict.fromkeys(wanted)))
     # contract holds itself through its closure cell; clearing the cell
     # frees the tabulated symbol's table now, not at a later full garbage
     # collection, which long runs of slot sums reach late
     del contract
-    return {k: mat_mul(decs[0].transform, Matrix(rows, exact=exact))
+    sums = {k: mat_mul(decs[0].transform, Matrix(rows, exact=exact))
             for k, rows in totals.items()}
+    out = [sums.get(k, zero_sum) for k in wanted]
+    return out[0] if keys is None else out
 
 
 def eval_univariate(f, dec, budget=None):
