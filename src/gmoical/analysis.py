@@ -8,8 +8,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import (GmoiProblem, eval_gmoi, eval_modes,
-                     nilpotent_patterns, pattern_terms)
+from .engine import (GmoiProblem, NilpotentPattern, eval_gmoi,
+                     eval_modes, pattern_terms)
 from .jordan import decompose
 from .numerics import Matrix, frobenius_norm, mat_mul
 
@@ -107,8 +107,8 @@ def _pattern_uppers(problem):
     nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
                   for q, npow in enumerate(b.powers, 1)]
                  for d in problem.params]
-    return [_pattern_upper(problem, pattern, peak, nil_norms)
-            for pattern in nilpotent_patterns(r)]
+    return [_pattern_upper(problem, NilpotentPattern(i, r), peak, nil_norms)
+            for i in range(2 ** r)]
 
 
 def norm_report(problem, budget=None):
@@ -284,9 +284,7 @@ def _perturbation_report(beta_small, beta_big, params, j, c_dec, d_dec, args,
         {label: _sum_reads(walks, reads) for label, reads in part.items()}
         for part in (corrections, trailing))
     rhs = main
-    for m in corrections.values():
-        rhs = rhs + m
-    for m in trailing.values():
+    for m in [*corrections.values(), *trailing.values()]:
         rhs = rhs + m
     return PerturbationReport(lhs=lhs, rhs_main=main, corrections=corrections,
                               trailing=trailing, rhs_total=rhs,

@@ -183,9 +183,10 @@ def gmoi(beta_path, params, args_paths, patterns, dump_terms, tol, exact,
     decs = _decompose_all(params, exact, tol)
     args = _load_matrices(args_paths, exact)
     problem = engine.GmoiProblem(beta, decs, args)
-    full = ("full",) * len(decs)
-    pats = (engine.nilpotent_patterns(len(decs)) if patterns or dump_terms
-            else [])
+    r = len(decs)
+    full = ("full",) * r
+    pats = [engine.NilpotentPattern(i, r) for i in range(2 ** r)
+            if patterns or dump_terms]
     sums = engine.eval_modes(problem, [full] + [pat.modes for pat in pats],
                              budget=budget)
     payload = {"result": sums[full].to_json()}

@@ -98,13 +98,12 @@ def eval_modes(problem, keys, budget=None):
     there, so a lone key walks its own restricted options only."""
     r = problem.zeta + 1
     keys = [tuple(k) for k in keys]
-    if any(len(k) != r for k in keys):
-        raise EngineError("need one mode per parameter slot")
+    if any(len(k) != r or not {*k} <= {"P", "N", "full"} for k in keys):
+        raise EngineError('need one mode, "P", "N" or "full", per parameter '
+                          'slot')
     opts = []
     for j, dec in enumerate(problem.params):
         modes = {k[j] for k in keys}
-        if not modes <= {"P", "N", "full"}:
-            raise EngineError(f"unknown slot modes {sorted(modes)}")
         opts.append(slot_options(dec, modes.pop() if len(modes) == 1
                                  else "full"))
     sums = eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
@@ -132,17 +131,12 @@ def eval_classical_moi(problem, budget=None):
                      budget=budget)
 
 
-def nilpotent_patterns(width):
-    """The 2**width nilpotent patterns of ``width`` slots, in index
-    order."""
-    return [NilpotentPattern(i, width) for i in range(2 ** width)]
-
-
 def pattern_terms(problem, budget=None):
     """The 2**(zeta+1) nilpotent-pattern terms A_{i'} whose sum is the
     integral: term i' restricts slot j to N if bit j of i' (MSB first) is
     set, else P. One walk gives them all."""
-    patterns = nilpotent_patterns(problem.zeta + 1)
+    r = problem.zeta + 1
+    patterns = [NilpotentPattern(i, r) for i in range(2 ** r)]
     terms = eval_modes(problem, [pat.modes for pat in patterns],
                        budget=budget)
     return [(pat, terms[pat.modes]) for pat in patterns]

@@ -18,9 +18,9 @@ product of its own, only row and column moves (see ``eval_slot_sum``).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .numerics import QC, Matrix, mat_mul, scalar
@@ -61,8 +61,7 @@ class SlotChoice:
     """One option of a slot: a distinct eigenvalue of ``dec`` and an order
     q below its longest chain. ``pairs`` are the positions of the ones of
     the 0/1 matrix E, the q-th shift power on the eigenvalue's chains in
-    the column order of ``dec.transform``; the slot factor is V E V^-1:
-    the projector P for order 0, else the nilpotent power N**q."""
+    the column order of ``dec.transform``; the slot factor is V E V^-1."""
     eigenvalue: object
     order: int
     pairs: tuple
@@ -116,14 +115,12 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     The coefficients come from ``symbol.tabulated()``, so the sum computes
     each divided difference once.
 
-    ``keys``, a list of mode tuples (one "P", "N" or "full" per slot),
-    makes one walk return one sum per key: the terms whose slot j option
-    is a projector (order 0) where the key says "P" and a nilpotent power
-    where it says "N". The basis changes and coefficients are computed
-    once; keys that agree on slots 1..j share the partial sums of those
-    slots, and each sum receives its terms in the order of a walk over
-    its own restricted option lists, so it is the same bit for bit.
-    Without ``keys`` the call returns the one full sum.
+    With ``keys``, mode tuples of one "P", "N" or "full" per slot, one
+    walk returns one sum per key, of the terms whose slot j option is a
+    projector where the key says "P" and a nilpotent power where it says
+    "N". Keys that agree on slots 1..j share those slots' partial sums,
+    and each sum receives its terms in the order of a walk over its own
+    restricted options, so it is the same bit for bit.
     """
     budget = effective_budget(budget)
     needed = count_terms(option_lists)
@@ -138,8 +135,8 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     if len(interleave) != r - 1:
         raise ValueError("need one interleaved argument between slots")
     wanted = [("full",) * r] if keys is None else [tuple(k) for k in keys]
-    zero_sum = Matrix.zeros(dim, exact)
     if not needed:
+        zero_sum = Matrix.zeros(dim, exact)
         return zero_sum if keys is None else [zero_sum] * len(wanted)
     symbol = symbol.tabulated()
     decs = [opts[0].dec for opts in option_lists]
@@ -154,7 +151,6 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     zero = QC(0) if exact else 0j
     lams = [None] * r
     orders = [0] * r
-    routes = {}
 
     def coefficient():
         coeff = symbol.partial(orders, lams)
@@ -167,23 +163,16 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
             coeff = coeff / denom
         return scalar(coeff, exact)
 
-    def contract(j, active):
-        """{head: sum over the options of slots 1..j of
-        coeff E_1 B_1 ... E_j B_j, as rows} for the options chosen in the
-        later slots, one entry per head key[:j+1] of the keys ``active``
-        whose coefficients do not all vanish."""
-        if (j, active) not in routes:
-            # per option kind (projector, nilpotent power): the active keys
-            # that admit it, and their distinct heads
-            routes[j, active] = [
-                (sub, tuple(dict.fromkeys(k[:j + 1] for k in sub)))
-                for sub in (tuple(k for k in active if k[j] in ("full", kind))
-                            for kind in "PN")]
-        kinds = routes[j, active]
-        accs = defaultdict(lambda: [[zero] * dim for _ in range(dim)])
+    def contract(j, plan):
+        """Per head of ``plan`` (see ``_plan``): the sum over the options
+        of slots 1..j of coeff E_1 B_1 ... E_j B_j, as rows, for the
+        options chosen in the later slots; None where every coefficient
+        vanishes."""
+        heads, kinds = plan
+        accs = [None] * len(heads)
         for choice in option_lists[j]:
-            sub, heads = kinds[choice.order > 0]
-            if not sub:
+            inner_plan, targets = kinds[choice.order > 0]
+            if not targets:
                 continue
             lams[j] = choice.eigenvalue
             orders[j] = choice.order
@@ -191,30 +180,55 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
                 c = coefficient()
                 if c is None:
                     continue
-                for head in heads:
-                    acc = accs[head]
+                for h, _ in targets:
+                    acc = accs[h]
+                    if acc is None:
+                        acc = accs[h] = [[zero] * dim for _ in range(dim)]
                     for i, k in choice.pairs:
                         acc[i] = [x + c * y for x, y in zip(acc[i], first[k])]
                 continue
-            inner = contract(j - 1, sub)
-            for head in heads:
-                if head[:-1] in inner:
-                    _add_column_shift(accs[head], inner[head[:-1]],
-                                      choice.pairs)
+            inner = contract(j - 1, inner_plan)
+            for h, ih in targets:
+                if inner[ih] is not None:
+                    if accs[h] is None:
+                        accs[h] = [[zero] * dim for _ in range(dim)]
+                    _add_column_shift(accs[h], inner[ih], choice.pairs)
         if j == 0:
             return accs
-        return {head: mat_mul(Matrix(acc, exact=exact), basis[j]).rows
-                for head, acc in accs.items()}
+        return [None if acc is None
+                else mat_mul(Matrix(acc, exact=exact), basis[j]).rows
+                for acc in accs]
 
-    totals = contract(r - 1, tuple(dict.fromkeys(wanted)))
+    plan = _plan(tuple(dict.fromkeys(wanted)), r - 1)
+    totals = contract(r - 1, plan)
     # contract holds itself through its closure cell; clearing the cell
     # frees the tabulated symbol's table now, not at a later full garbage
     # collection, which long runs of slot sums reach late
     del contract
     sums = {k: mat_mul(decs[0].transform, Matrix(rows, exact=exact))
-            for k, rows in totals.items()}
-    out = [sums.get(k, zero_sum) for k in wanted]
+            for k, rows in zip(plan[0], totals) if rows is not None}
+    out = [sums[k] if k in sums else Matrix.zeros(dim, exact)
+           for k in wanted]
     return out[0] if keys is None else out
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(keys, j):
+    """How the distinct mode tuples ``keys`` route the terms of slot j:
+    (heads, kinds). The heads are the distinct key[:j+1], numbered in
+    order, one partial sum each. kinds[0] serves projector options and
+    kinds[1] nilpotent powers: (the plan of slot j - 1 for the keys that
+    admit the kind, ((head, its key[:j] among the inner plan's heads),
+    ...))."""
+    heads = tuple(dict.fromkeys(k[:j + 1] for k in keys))
+    kinds = []
+    for kind in "PN":
+        sub = tuple(k for k in keys if k[j] in ("full", kind))
+        inner = _plan(sub, j - 1) if j and sub else None
+        kinds.append((inner, tuple(
+            (heads.index(head), inner[0].index(head[:-1]) if j else None)
+            for head in dict.fromkeys(k[:j + 1] for k in sub))))
+    return heads, tuple(kinds)
 
 
 def eval_univariate(f, dec, budget=None):
