@@ -106,10 +106,9 @@ def eval_modes(problem, keys, budget=None):
         modes = {k[j] for k in keys}
         opts.append(slot_options(dec, modes.pop() if len(modes) == 1
                                  else "full"))
-    sums = eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
+    return eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
                          dim=problem.dim, exact=problem.exact, budget=budget,
                          keys=keys)
-    return dict(zip(keys, sums))
 
 
 def eval_gmoi(problem, modes=None, budget=None):

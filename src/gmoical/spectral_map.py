@@ -116,7 +116,7 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     each divided difference once.
 
     With ``keys``, mode tuples of one "P", "N" or "full" per slot, one
-    walk returns one sum per key, of the terms whose slot j option is a
+    walk returns {key: sum}, each of the terms whose slot j option is a
     projector where the key says "P" and a nilpotent power where it says
     "N". Keys that agree on slots 1..j share those slots' partial sums,
     and each sum receives its terms in the order of a walk over its own
@@ -134,10 +134,11 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
         interleave = [None] * (r - 1)
     if len(interleave) != r - 1:
         raise ValueError("need one interleaved argument between slots")
-    wanted = [("full",) * r] if keys is None else [tuple(k) for k in keys]
+    wanted = (("full",) * r,) if keys is None else tuple(
+        dict.fromkeys(map(tuple, keys)))
     if not needed:
-        zero_sum = Matrix.zeros(dim, exact)
-        return zero_sum if keys is None else [zero_sum] * len(wanted)
+        sums = dict.fromkeys(wanted, Matrix.zeros(dim, exact))
+        return sums if keys is not None else sums[wanted[0]]
     symbol = symbol.tabulated()
     decs = [opts[0].dec for opts in option_lists]
     basis = []
@@ -199,17 +200,16 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
                 else mat_mul(Matrix(acc, exact=exact), basis[j]).rows
                 for acc in accs]
 
-    plan = _plan(tuple(dict.fromkeys(wanted)), r - 1)
+    plan = _plan(wanted, r - 1)
     totals = contract(r - 1, plan)
     # contract holds itself through its closure cell; clearing the cell
     # frees the tabulated symbol's table now, not at a later full garbage
     # collection, which long runs of slot sums reach late
     del contract
-    sums = {k: mat_mul(decs[0].transform, Matrix(rows, exact=exact))
-            for k, rows in zip(plan[0], totals) if rows is not None}
-    out = [sums[k] if k in sums else Matrix.zeros(dim, exact)
-           for k in wanted]
-    return out[0] if keys is None else out
+    sums = {k: Matrix.zeros(dim, exact) if rows is None
+            else mat_mul(decs[0].transform, Matrix(rows, exact=exact))
+            for k, rows in zip(wanted, totals)}
+    return sums if keys is not None else sums[wanted[0]]
 
 
 @functools.lru_cache(maxsize=256)
