@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .engine import (GmoiProblem, NilpotentPattern, eval_gmoi,
                      eval_modes, pattern_terms)
 from .jordan import decompose
-from .numerics import Matrix, frobenius_norm, mat_mul
+from .numerics import Matrix, frobenius_norm, mat_mul, scalar
 
 
 class AnalysisError(ValueError):
@@ -45,12 +45,8 @@ def reverse_triangle_lower(norms):
     return max(0.0, s[0] - sum(s[1:]))
 
 
-def _to_cplx(lam):
-    return lam if isinstance(lam, complex) else lam.to_complex()
-
-
 def _grid(dec):
-    return [_to_cplx(e) for e in dec.eigenvalues]
+    return [scalar(e) for e in dec.eigenvalues]
 
 
 def _pattern_upper(problem, pattern, peak, nil_norms):

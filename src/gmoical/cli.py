@@ -15,38 +15,24 @@ from fractions import Fraction
 import click
 
 from . import analysis, derivative, engine, fixtures, functions, jordan
-from .numerics import Matrix, QC, NumericsError, frobenius_norm
+from .numerics import Matrix, QC, NumericsError, frobenius_norm, scalar_json
 from .spectral_map import (BudgetExceededError, eval_multivariate,
                            eval_univariate)
 
 
-def _scalar_json(z):
-    if isinstance(z, QC):
-        def emit(f):
-            return str(f) if f.denominator != 1 else int(f)
-        return [emit(z.re), emit(z.im)]
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _dec_json(dec, dump_matrices=True):
-    out = {
+def _dec_json(dec):
+    return {
         "dim": dec.dim,
         "exact": dec.exact,
-        "eigenvalues": [_scalar_json(e) for e in dec.eigenvalues],
-        "blocks": [],
-    }
-    for b in dec.blocks:
-        entry = {
-            "eigenvalue": _scalar_json(b.eigenvalue),
+        "eigenvalues": [scalar_json(e) for e in dec.eigenvalues],
+        "blocks": [{
+            "eigenvalue": scalar_json(b.eigenvalue),
             "index": b.block_index,
             "order": b.order,
-        }
-        if dump_matrices:
-            entry["projector"] = b.projector.to_json()
-            entry["nilpotent"] = b.nilpotent.to_json()
-        out["blocks"].append(entry)
-    return out
+            "projector": b.projector.to_json(),
+            "nilpotent": b.nilpotent.to_json(),
+        } for b in dec.blocks],
+    }
 
 
 def _emit(payload, as_json):
@@ -115,29 +101,34 @@ def main():
     perturbation identities, and derivatives from Jordan spectral data."""
 
 
-_common = [
-    click.option("--tol", default=1e-9, show_default=True,
-                 help="decomposition / comparison tolerance"),
-    click.option("--exact", is_flag=True,
-                 help="exact rational-complex arithmetic"),
-    click.option("--json", "as_json", is_flag=True,
-                 help="compact machine-readable output"),
-    click.option("--budget", default=None, type=int,
-                 help="term budget override (env GMOI_BUDGET)"),
-]
+_common = {
+    "tol": click.option("--tol", default=1e-9, show_default=True,
+                        help="decomposition / comparison tolerance"),
+    "exact": click.option("--exact", is_flag=True,
+                          help="exact rational-complex arithmetic"),
+    "json": click.option("--json", "as_json", is_flag=True,
+                         help="compact machine-readable output"),
+    "budget": click.option("--budget", default=None, type=int,
+                           help="term budget override (env GMOI_BUDGET)"),
+}
 
 
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def common_options(*names):
+    """Add the named options of ``_common`` (all of them when none are
+    named), in its order."""
+    def apply(fn):
+        for name in reversed(_common):
+            if name in names or not names:
+                fn = _common[name](fn)
+        return fn
+    return apply
 
 
 @main.command()
 @click.argument("matrix", type=click.Path(exists=True))
-@common_options
+@common_options("tol", "exact", "json")
 @_guarded
-def decompose(matrix, tol, exact, as_json, budget):
+def decompose(matrix, tol, exact, as_json):
     """Jordan decomposition of MATRIX (JSON file)."""
     m = _load_matrix(matrix, exact)
     dec = jordan.decompose(m, tol=tol)
@@ -151,7 +142,7 @@ def decompose(matrix, tol, exact, as_json, budget):
               type=click.Path(exists=True))
 @click.option("--matrices", required=True,
               help="comma-separated matrix JSON files")
-@common_options
+@common_options()
 @_guarded
 def funcmat(function_path, matrices, tol, exact, as_json, budget):
     """Multivariate matrix function f(X1, ..., Xr)."""
@@ -174,7 +165,7 @@ def funcmat(function_path, matrices, tol, exact, as_json, budget):
 @click.option("--patterns", is_flag=True,
               help="also emit the per-pattern nilpotent terms")
 @click.option("--dump-terms", is_flag=True)
-@common_options
+@common_options()
 @_guarded
 def gmoi(beta_path, params, args_paths, patterns, dump_terms, tol, exact,
          as_json, budget):
@@ -203,7 +194,7 @@ def gmoi(beta_path, params, args_paths, patterns, dump_terms, tol, exact,
 @click.option("--params", required=True)
 @click.option("--args", "args_paths", required=True)
 @click.option("--dump-terms", is_flag=True)
-@common_options
+@common_options()
 @_guarded
 def bounds(beta_path, params, args_paths, dump_terms, tol, exact, as_json,
            budget):
@@ -233,7 +224,7 @@ def bounds(beta_path, params, args_paths, dump_terms, tol, exact, as_json,
 @click.option("--args", "args_paths", required=True)
 @click.option("--args2", "args2_paths", required=True,
               help="perturbed argument matrices")
-@common_options
+@common_options()
 @_guarded
 def lipschitz(beta_path, params, args_paths, args2_paths, tol, exact,
               as_json, budget):
@@ -262,7 +253,7 @@ def lipschitz(beta_path, params, args_paths, args2_paths, tol, exact,
               help="interior pair slot for the general case")
 @click.option("--args", "args_paths", required=True)
 @click.option("--dump-terms", is_flag=True)
-@common_options
+@common_options()
 @_guarded
 def verify_perturbation(function_path, c_path, d_path, x1_path, params,
                         slot_j, args_paths, dump_terms, tol, exact, as_json,
@@ -306,7 +297,7 @@ def verify_perturbation(function_path, c_path, d_path, x1_path, params,
 @click.option("--directions", required=True,
               help="one perturbation direction matrix per parameter")
 @click.option("--levels", default=12, show_default=True)
-@common_options
+@common_options()
 @_guarded
 def continuity(beta_path, params, args_paths, directions, levels, tol,
                exact, as_json, budget):
@@ -331,7 +322,7 @@ def continuity(beta_path, params, args_paths, directions, levels, tol,
 @click.option("--order", default=1, show_default=True)
 @click.option("--verify", is_flag=True,
               help="also report the contour-integral oracle residual")
-@common_options
+@common_options()
 @_guarded
 def derivative_cmd(function_path, x_path, y_path, order, verify, tol, exact,
                    as_json, budget):
@@ -369,9 +360,9 @@ def _parse_blocks(spec, exact):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path(),
               help="directory for matrix.json and decomposition.json")
-@common_options
+@common_options("exact", "json")
 @_guarded
-def gen_fixture(blocks, seed, out, tol, exact, as_json, budget):
+def gen_fixture(blocks, seed, out, exact, as_json):
     """Generate X = V J V^-1 with the given structure and a random
     well-conditioned transform."""
     structure = _parse_blocks(blocks, exact)
@@ -391,9 +382,8 @@ def gen_fixture(blocks, seed, out, tol, exact, as_json, budget):
 
 
 @main.command()
-@common_options
 @_guarded
-def selftest(tol, exact, as_json, budget):
+def selftest():
     """Quick invariant suite over built-in fixtures."""
     import random
 

@@ -54,10 +54,6 @@ class ParameterPattern:
     def __len__(self):
         return len(self.slots)
 
-    def positions(self):
-        """1-based positions of each plain-X slot, in order."""
-        return tuple(j + 1 for j, s in enumerate(self.slots) if s == X)
-
 
 @dataclass(frozen=True)
 class GmoiTerm:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .numerics import Matrix
-from .spectral_map import eval_slot_sum, slot_options
+from .spectral_map import eval_slot_sum
 
 
 class EngineError(ValueError):
@@ -75,11 +75,6 @@ class NilpotentPattern:
         return binary_selector(self.index, self.width)
 
     @property
-    def selected(self):
-        """1-based nilpotent slot positions."""
-        return tuple(j + 1 for j, b in enumerate(self.bits) if b)
-
-    @property
     def modes(self):
         return tuple("N" if b else "P" for b in self.bits)
 
@@ -94,20 +89,14 @@ def binary_selector(i, width):
 def eval_modes(problem, keys, budget=None):
     """The integral restricted by each mode tuple of ``keys`` (one "P",
     "N" or "full" per parameter slot), all from one slot-sum walk:
-    {key: Matrix}. Slot j enumerates the options that some key admits
-    there, so a lone key walks its own restricted options only."""
+    {key: Matrix}."""
     r = problem.zeta + 1
     keys = [tuple(k) for k in keys]
     if any(len(k) != r or not {*k} <= {"P", "N", "full"} for k in keys):
         raise EngineError('need one mode, "P", "N" or "full", per parameter '
                           'slot')
-    opts = []
-    for j, dec in enumerate(problem.params):
-        modes = {k[j] for k in keys}
-        opts.append(slot_options(dec, modes.pop() if len(modes) == 1
-                                 else "full"))
-    return eval_slot_sum(problem.beta, opts, interleave=list(problem.args),
-                         dim=problem.dim, exact=problem.exact, budget=budget,
+    return eval_slot_sum(problem.beta, problem.params,
+                         interleave=list(problem.args), budget=budget,
                          keys=keys)
 
 

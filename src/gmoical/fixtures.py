@@ -45,7 +45,7 @@ def gen_fixture(structure, seed=0, exact=False, max_tries=50):
     for _ in range(max_tries):
         v = _random_transform(rng, dim, exact)
         if _condition(v) <= MAX_CONDITION:
-            dec = from_structure(structure, v, exact=exact)
+            dec = from_structure(structure, v)
             return dec.reconstruct(), dec
     raise FixtureError("could not draw a well-conditioned transform")
 
@@ -81,17 +81,16 @@ def random_fixture(rng, dim, max_block=2, exact=False, distinct=False,
     return gen_fixture(structure, seed=rng.randrange(2 ** 30), exact=exact)
 
 
-def random_matrix(rng, dim, exact=False, span=2, complex_entries=False):
-    """A dense random argument matrix with small entries."""
+def random_matrix(rng, dim, exact=False, span=2):
+    """A dense random argument matrix with small real entries."""
     rows = []
     for _ in range(dim):
         row = []
         for _ in range(dim):
             re = rng.randint(-span, span)
-            im = rng.randint(-span, span) if complex_entries else 0
             if exact:
-                row.append(QC(Fraction(re), Fraction(im)))
+                row.append(QC(Fraction(re)))
             else:
-                row.append(complex(re, im) + (rng.random() - 0.5) * 0.5)
+                row.append(complex(re) + (rng.random() - 0.5) * 0.5)
         rows.append(row)
     return Matrix(rows, exact=exact)

@@ -19,7 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .numerics import QC, scalar
+from .numerics import QC, scalar, scalar_key
 
 
 class FunctionError(ValueError):
@@ -28,10 +28,6 @@ class FunctionError(ValueError):
 
 def _is_exact(x):
     return isinstance(x, (QC, Fraction))
-
-
-def _coerce(value, exact):
-    return scalar(value, exact)
 
 
 class MultiFunction:
@@ -44,12 +40,11 @@ class MultiFunction:
     ``tabulate``, when given, builds the copy returned by ``tabulated()``.
     """
 
-    def __init__(self, arity, eval_fn, partial_fn=None, max_order=None,
-                 kind="custom", meta=None, tabulate=None):
+    def __init__(self, arity, eval_fn, partial_fn=None, kind="custom",
+                 meta=None, tabulate=None):
         self.arity = arity
         self._eval = eval_fn
         self._partial = partial_fn
-        self.max_order = math.inf if max_order is None else max_order
         self.kind = kind
         self.meta = meta or {}
         self._tabulate = tabulate
@@ -78,10 +73,6 @@ class MultiFunction:
             raise FunctionError("derivative orders must be nonnegative")
         if all(q == 0 for q in orders):
             return self._eval(args)
-        if sum(orders) > self.max_order:
-            raise FunctionError(
-                f"{self.kind} supports derivatives up to total order "
-                f"{self.max_order}, requested {sum(orders)}")
         if self._partial is None:
             raise FunctionError(f"{self.kind} has no derivative oracle")
         return self._partial(orders, args)
@@ -96,10 +87,10 @@ class MultiFunction:
 def constant(value):
     def ev(args):
         exact = _is_exact(args[0]) if args else False
-        return _coerce(value, exact)
+        return scalar(value, exact)
 
     def pt(orders, args):
-        return _coerce(0, _is_exact(args[0]))
+        return scalar(0, _is_exact(args[0]))
 
     return MultiFunction(1, ev, pt, kind="constant", meta={"value": value})
 
@@ -120,10 +111,10 @@ def exp_function():
 def _poly_deriv_eval(coeffs, k, z):
     """k-th derivative of sum c_i z^i at z, in z's scalar mode."""
     exact = _is_exact(z)
-    acc = _coerce(0, exact)
+    acc = scalar(0, exact)
     # Horner on the derivative-shifted coefficients
     for i in range(len(coeffs) - 1, k - 1, -1):
-        c = _coerce(coeffs[i], exact)
+        c = scalar(coeffs[i], exact)
         fall = 1
         for t in range(k):
             fall *= (i - t)
@@ -187,23 +178,23 @@ def power_function(d):
         if d >= 0:
             exact = _is_exact(z)
             if d == 0:
-                return _coerce(1, exact)
+                return scalar(1, exact)
             return z ** d
-        return _coerce(1, _is_exact(z)) / (z ** (-d))
+        return scalar(1, _is_exact(z)) / (z ** (-d))
 
     def pt(orders, args):
         k = orders[0]
         z, = args
         exact = _is_exact(z)
         if d >= 0 and k > d:
-            return _coerce(0, exact)
+            return scalar(0, exact)
         fall = 1
         for t in range(k):
             fall *= (d - t)
         if d - k >= 0:
-            base = z ** (d - k) if d - k > 0 else _coerce(1, exact)
+            base = z ** (d - k) if d - k > 0 else scalar(1, exact)
         else:
-            base = _coerce(1, exact) / (z ** (k - d))
+            base = scalar(1, exact) / (z ** (k - d))
         return base * fall
 
     return MultiFunction(1, ev, pt, kind="power", meta={"degree": d})
@@ -218,7 +209,7 @@ def multivariate_polynomial(arity, terms):
 
     def pt(orders, args):
         exact = _is_exact(args[0])
-        acc = _coerce(0, exact)
+        acc = scalar(0, exact)
         for c, exps in terms:
             coeff = 1
             dead = False
@@ -230,7 +221,7 @@ def multivariate_polynomial(arity, terms):
                     coeff *= (e - t)
             if dead:
                 continue
-            val = _coerce(c, exact) * coeff
+            val = scalar(c, exact) * coeff
             for z, e, q in zip(args, exps, orders):
                 for _ in range(e - q):
                     val = val * z
@@ -258,7 +249,7 @@ def product_symbol(beta, num_linear):
         exact = _is_exact(args[0])
         beta_orders = []
         beta_args = []
-        lin = _coerce(1, exact)
+        lin = scalar(1, exact)
         for j in range(arity):
             if j % 2 == 0:
                 beta_orders.append(orders[j])
@@ -270,7 +261,7 @@ def product_symbol(beta, num_linear):
                 elif q == 1:
                     pass
                 else:
-                    return _coerce(0, exact)
+                    return scalar(0, exact)
         return beta.partial(beta_orders, beta_args) * lin
 
     def ev(args):
@@ -297,7 +288,7 @@ def separable_product(outer, inners, layout):
 
     def pt(orders, args):
         exact = _is_exact(args[0])
-        acc = _coerce(1, exact)
+        acc = scalar(1, exact)
         for f, g in zip(funcs, layout):
             acc = acc * f.partial([orders[j] for j in g],
                                   [args[j] for j in g])
@@ -319,14 +310,6 @@ def separable_product(outer, inners, layout):
 
 # ---------------------------------------------------------------------------
 # divided differences
-
-def _node_key(z):
-    if isinstance(z, Fraction):
-        return (z, Fraction(0))
-    if isinstance(z, QC):
-        return (z.re, z.im)
-    return (z.real, z.imag)
-
 
 # float nodes closer than this, relative to their size, count as repeated
 NODE_TOL = 1e-8
@@ -384,11 +367,7 @@ def divided_difference(f, nodes, table=None):
     k = len(nodes) - 1
     if k < 0:
         raise FunctionError("need at least one node")
-    if k > f.max_order:
-        raise FunctionError(
-            f"confluent divided difference may need derivatives up to "
-            f"order {k}, function supports {f.max_order}")
-    nodes = _near_equal_adjacent(sorted(nodes, key=_node_key))
+    nodes = _near_equal_adjacent(sorted(nodes, key=scalar_key))
     return _dd(f, tuple(nodes), {} if table is None else table)
 
 
@@ -453,6 +432,8 @@ def _json_scalar(value):
     if isinstance(value, (list, tuple)):
         from .numerics import parse_entry
         return parse_entry(value, exact=True)
+    if isinstance(value, bool):
+        raise FunctionError(f"scalar {value!r} is a boolean, not a number")
     return value
 
 

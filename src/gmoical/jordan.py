@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import (Matrix, QC, SingularMatrixError, frobenius_norm,
-                       inverse, mat_mul, scalar)
+                       inverse, mat_mul, scalar, scalar_key)
 
 
 class DecompositionError(ValueError):
@@ -188,18 +188,6 @@ class JordanDecomposition:
         return res
 
 
-def _sort_chains(chains, exact):
-    # eigenvalues lexicographically by (Re, Im), then longer chains first
-    def key(ch):
-        lam = ch[0]
-        if exact:
-            re, im = lam.re, lam.im
-        else:
-            re, im = lam.real, lam.imag
-        return (re, im, -ch[2])
-    return sorted(chains, key=key)
-
-
 def structure_dim(structure):
     """The dimension covered by a list of (eigenvalue, [chain lengths...])
     pairs; DecompositionError for a length that is not a positive
@@ -212,8 +200,9 @@ def structure_dim(structure):
     return sum(lengths)
 
 
-def from_structure(structure, transform, exact=False):
-    """Build a decomposition from a prescribed structure.
+def from_structure(structure, transform):
+    """Build a decomposition from a prescribed structure, exact when the
+    transform is.
 
     structure: list of (eigenvalue, [chain lengths...]) pairs;
     transform: the similarity V whose columns are the Jordan chains, in
@@ -224,6 +213,7 @@ def from_structure(structure, transform, exact=False):
         raise DecompositionError(
             f"structure covers {dim} columns but matrix has dim "
             f"{transform.dim}")
+    exact = transform.exact
     chains = []
     col = 0
     for lam, lengths in structure:
@@ -231,7 +221,8 @@ def from_structure(structure, transform, exact=False):
         for m in lengths:
             chains.append((lam, col, m))
             col += m
-    chains = _sort_chains(chains, exact)
+    # eigenvalues lexicographically by (Re, Im), then longer chains first
+    chains.sort(key=lambda ch: (*scalar_key(ch[0]), -ch[2]))
     # re-pack V columns to the sorted chain order
     perm = [c for _, start, m in chains for c in range(start, start + m)]
     v = Matrix([[row[j] for j in perm] for row in transform.rows],
@@ -265,7 +256,7 @@ def _decompose_auto_float(x, tol):
     # cluster eigenvalues within a gap-based threshold
     thr = max(tol, 1e-8) * max(1.0, float(np.abs(a).max()))
     clusters = []
-    for e in sorted(eigs, key=lambda z: (z.real, z.imag)):
+    for e in sorted(eigs, key=scalar_key):
         for cl in clusters:
             if abs(e - np.mean(cl)) <= thr * 100:
                 cl.append(e)
@@ -391,7 +382,7 @@ def _decompose_auto_exact(x):
         structure.append((_sympy_to_qc(lam), [length]))
         col += length
     v_rows = [[_sympy_to_qc(p[i, c]) for c in range(n)] for i in range(n)]
-    return from_structure(structure, Matrix(v_rows, exact=True), exact=True)
+    return from_structure(structure, Matrix(v_rows, exact=True))
 
 
 def _sympy_to_qc(val):
@@ -403,28 +394,12 @@ def _sympy_to_qc(val):
     return QC(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
-def decompose(x, tol=1e-9, mode="auto", structure=None, transform=None):
-    """Decompose matrix ``x``.
-
-    mode="prescribed": caller supplies ``structure`` (list of
-    (eigenvalue, [chain lengths])) and ``transform`` V; the decomposition
-    is built exactly from them and validated against x.
-    mode="auto": numeric (float matrices) or symbolic (exact matrices)
-    structure discovery; a float result must reproduce x within the
-    prescribed-mode limit.
-    """
-    if mode == "prescribed":
-        if structure is None or transform is None:
-            raise DecompositionError(
-                "prescribed mode needs structure and transform")
-        dec = from_structure(structure, transform, exact=x.exact)
-        resid = frobenius_norm(dec.reconstruct() - x)
-        limit = 0 if x.exact else _residual_limit(x, tol)
-        if resid > limit:
-            raise DecompositionError(
-                f"prescribed structure does not reproduce x "
-                f"(residual {resid:.3e})")
-        return dec
+def decompose(x, tol=1e-9, mode="auto"):
+    """Decompose matrix ``x`` by structure discovery, the only ``mode``:
+    numeric with numpy for a float matrix, symbolic with sympy for an
+    exact one. A float result must reproduce x within
+    ``_residual_limit``; ``from_structure`` builds a decomposition from a
+    known structure and transform."""
     if mode != "auto":
         raise DecompositionError(f"unknown mode {mode!r}")
     if x.exact:

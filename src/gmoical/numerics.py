@@ -169,6 +169,29 @@ def scalar(value, exact=False):
     return complex(value)
 
 
+def scalar_key(z):
+    """(re, im) of a complex, QC or real scalar: the order in which
+    eigenvalues and divided-difference nodes are sorted."""
+    if isinstance(z, complex):
+        return (z.real, z.imag)
+    if isinstance(z, QC):
+        return (z.re, z.im)
+    return (z, 0)
+
+
+def scalar_json(z):
+    """A scalar as its JSON [re, im] pair: exact parts as integers or
+    "p/q" strings."""
+    if isinstance(z, QC):
+        return [_emit_part(z.re), _emit_part(z.im)]
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _emit_part(x):
+    return str(x) if x.denominator != 1 else int(x)
+
+
 def _mod_sq(x):
     """Squared modulus, exact when x is a QC."""
     if isinstance(x, QC):
@@ -182,6 +205,8 @@ def parse_entry(entry, exact):
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise NumericsError(f"matrix entry must be a [re, im] pair, got {entry!r}")
     re, im = entry
+    if any(isinstance(p, bool) for p in entry):
+        raise NumericsError(f"matrix entry {entry!r} has a boolean part")
     if any(isinstance(p, float) and not math.isfinite(p) for p in entry):
         raise NumericsError(f"matrix entry {entry!r} is not finite")
     if exact:
@@ -193,12 +218,6 @@ def parse_entry(entry, exact):
         raise NumericsError(
             f"matrix entry {entry!r} is too large for a float") from None
     return complex(re, im)
-
-
-def _emit_part(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    return x
 
 
 class Matrix:
@@ -240,14 +259,6 @@ class Matrix:
         return cls([[zero] * n for _ in range(n)], exact=exact)
 
     @classmethod
-    def diagonal(cls, values, exact=False):
-        vals = [scalar(v, exact) for v in values]
-        zero = QC(0) if exact else 0j
-        n = len(vals)
-        return cls([[vals[i] if i == j else zero for j in range(n)]
-                    for i in range(n)], exact=exact)
-
-    @classmethod
     def from_json(cls, obj, exact=False):
         if not isinstance(obj, dict) or "entries" not in obj:
             raise NumericsError("matrix JSON must have 'dim' and 'entries'")
@@ -268,16 +279,9 @@ class Matrix:
                    exact=exact)
 
     def to_json(self):
-        entries = []
-        for row in self.rows:
-            out = []
-            for e in row:
-                if self.exact:
-                    out.append([_emit_part(e.re), _emit_part(e.im)])
-                else:
-                    out.append([e.real, e.imag])
-            entries.append(out)
-        return {"dim": self.dim, "entries": entries}
+        return {"dim": self.dim,
+                "entries": [[scalar_json(e) for e in row]
+                            for row in self.rows]}
 
     @classmethod
     def from_numpy(cls, arr):
@@ -409,7 +413,7 @@ def inverse(a):
                     condition=cond)
         min_pivot = min(min_pivot, piv_abs)
         aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        inv_piv = (QC(1) if a.exact else 1.0) / piv if a.exact else 1.0 / piv
+        inv_piv = QC(1) / piv if a.exact else 1.0 / piv
         aug[col] = [e * inv_piv for e in aug[col]]
         for r in range(n):
             if r == col:

@@ -58,14 +58,14 @@ def effective_budget(budget=None):
 
 @dataclass(frozen=True, eq=False)
 class SlotChoice:
-    """One option of a slot: a distinct eigenvalue of ``dec`` and an order
-    q below its longest chain. ``pairs`` are the positions of the ones of
-    the 0/1 matrix E, the q-th shift power on the eigenvalue's chains in
-    the column order of ``dec.transform``; the slot factor is V E V^-1."""
+    """One option of a slot: a distinct eigenvalue of the slot's
+    decomposition and an order q below its longest chain. ``pairs`` are
+    the positions of the ones of the 0/1 matrix E, the q-th shift power on
+    the eigenvalue's chains in the column order of the decomposition's
+    transform V; the slot factor is V E V^-1."""
     eigenvalue: object
     order: int
     pairs: tuple
-    dec: object         # JordanDecomposition
 
 
 def slot_options(dec, mode="full"):
@@ -78,7 +78,7 @@ def slot_options(dec, mode="full"):
     if mode not in ("full", "P", "N"):
         raise ValueError(f"unknown slot mode {mode!r}")
     first = 1 if mode == "N" else 0
-    return [SlotChoice(comp.eigenvalue, q, comp.shifts[q], dec)
+    return [SlotChoice(comp.eigenvalue, q, comp.shifts[q])
             for comp in dec.components
             for q in range(first, 1 if mode == "P" else comp.order)]
 
@@ -98,14 +98,15 @@ def _add_column_shift(acc, m, pairs):
             row[k] = row[k] + mrow[i]
 
 
-def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
-                  exact=False, budget=None, keys=None):
+def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     """Sum over all per-slot choice combinations of
-    coeff * F_1 A_1 F_2 A_2 ... A_{r-1} F_r where F_j is the chosen factor,
-    the A_j are the ``interleave`` matrices (absent when None), and
-    coeff = symbol.partial(orders, eigenvalues) / prod(orders!).
+    coeff * F_1 A_1 F_2 A_2 ... A_{r-1} F_r where F_j is the chosen factor
+    of slot j, an option of ``slot_options(decs[j])``, the A_j are the
+    ``interleave`` matrices (absent when None), and
+    coeff = symbol.partial(orders, eigenvalues) / prod(orders!). The
+    result has the dimension and arithmetic of ``decs[0]``.
 
-    Each option list comes from one decomposition X_j = V_j J_j V_j^-1, so
+    Slot j has the decomposition X_j = V_j J_j V_j^-1, so
     F_j = V_j E_j V_j^-1 and the sum is V_1 [sum coeff E_1 B_1 ... E_r B_r]
     with B_j = V_j^-1 A_j V_{j+1} for j < r and B_r = V_r^-1. Multiplying
     by an E_j moves rows or columns. The contraction runs depth-first from
@@ -118,29 +119,35 @@ def eval_slot_sum(symbol, option_lists, interleave=None, dim=None,
     With ``keys``, mode tuples of one "P", "N" or "full" per slot, one
     walk returns {key: sum}, each of the terms whose slot j option is a
     projector where the key says "P" and a nilpotent power where it says
-    "N". Keys that agree on slots 1..j share those slots' partial sums,
-    and each sum receives its terms in the order of a walk over its own
-    restricted options, so it is the same bit for bit.
+    "N". Slot j enumerates the options of the modes that some key admits
+    there ("full" unless every key names the same mode), so a lone key
+    walks its own restricted options only. Keys that agree on slots 1..j
+    share those slots' partial sums, and each sum receives its terms in
+    the order of a walk over its own restricted options, so it is the
+    same bit for bit.
     """
+    r = len(decs)
+    dim, exact = decs[0].dim, decs[0].exact
+    wanted = (("full",) * r,) if keys is None else tuple(
+        dict.fromkeys(map(tuple, keys)))
+    option_lists = []
+    for j, dec in enumerate(decs):
+        modes = {k[j] for k in wanted}
+        option_lists.append(slot_options(dec, modes.pop() if len(modes) == 1
+                                         else "full"))
     budget = effective_budget(budget)
     needed = count_terms(option_lists)
-    if dim is None:
-        dim = option_lists[0][0].dec.dim
     if needed > budget:
         raise BudgetExceededError(needed, budget, dim,
                                   [len(o) for o in option_lists], keys)
-    r = len(option_lists)
     if interleave is None:
         interleave = [None] * (r - 1)
     if len(interleave) != r - 1:
         raise ValueError("need one interleaved argument between slots")
-    wanted = (("full",) * r,) if keys is None else tuple(
-        dict.fromkeys(map(tuple, keys)))
     if not needed:
         sums = dict.fromkeys(wanted, Matrix.zeros(dim, exact))
         return sums if keys is not None else sums[wanted[0]]
     symbol = symbol.tabulated()
-    decs = [opts[0].dec for opts in option_lists]
     basis = []
     for j in range(r - 1):
         left = decs[j].transform_inv
@@ -235,8 +242,7 @@ def eval_univariate(f, dec, budget=None):
     """f(X) from the Jordan decomposition of X."""
     if f.arity != 1:
         raise ValueError("eval_univariate needs a univariate function")
-    return eval_slot_sum(f, [slot_options(dec)], dim=dec.dim,
-                         exact=dec.exact, budget=budget)
+    return eval_slot_sum(f, [dec], budget=budget)
 
 
 def eval_multivariate(f, decs, budget=None):
@@ -244,8 +250,7 @@ def eval_multivariate(f, decs, budget=None):
     with adjacent factors multiplied directly."""
     if f.arity != len(decs):
         raise ValueError("arity does not match number of matrices")
-    return eval_slot_sum(f, [slot_options(d) for d in decs],
-                         dim=decs[0].dim, exact=decs[0].exact, budget=budget)
+    return eval_slot_sum(f, decs, budget=budget)
 
 
 def moi_as_spectral_map(beta, param_decs, arg_decs, budget=None):

@@ -48,8 +48,8 @@ def explicit_cross_term(beta_small, beta_big, slots, pair_pos, c_dec, d_dec,
         denom0 = 1
         for q in orders:
             denom0 *= math.factorial(q)
-        factors = [shift_factor(c.dec.transform, c.dec.transform_inv,
-                                c.pairs) for c in combo]
+        factors = [shift_factor(dec.transform, dec.transform_inv, c.pairs)
+                   for (dec, _), c in zip(slots, combo)]
 
         def add(sign, beta, lam_mid, ord_mid, extra_fact, middle):
             nonlocal out

@@ -29,7 +29,7 @@ def _dec_to_float(dec):
     if not dec.exact:
         return dec
     structure = [(b.eigenvalue.to_complex(), [b.order]) for b in dec.blocks]
-    return from_structure(structure, dec.transform.to_float(), exact=False)
+    return from_structure(structure, dec.transform.to_float())
 
 
 def _xbar(f, pattern, pair_pos, x_dec, xt_dec, y, t, budget=None):

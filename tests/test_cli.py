@@ -69,6 +69,15 @@ class TestDecompose:
         assert res.exit_code == 2
         assert m in res.stderr and "not finite" in res.stderr
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]])
+    def test_boolean_entry(self, runner, tmp_path, mode):
+        m = _write(tmp_path, "bool.json", {"dim": 2, "entries": [
+            [[True, 0], [0, 0]], [[0, 0], [False, 0]]]})
+        res = runner.invoke(main, ["decompose", m] + mode)
+        assert res.exit_code == 2
+        assert "[True, 0]" in res.stderr and "boolean" in res.stderr
+        assert res.stdout == ""
+
 
 class TestFuncmat:
     def test_square_of_jordan_block(self, runner, jordan2, square_fn):
@@ -93,6 +102,17 @@ class TestFuncmat:
         res = runner.invoke(main, ["funcmat", "--function", f,
                                    "--matrices", jordan2])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("coeff", [True, [False, 0]])
+    def test_boolean_coefficient(self, runner, tmp_path, jordan2, coeff):
+        f = _write(tmp_path, "f.json",
+                   {"kind": "polynomial", "coeffs": [coeff, 0, 1]})
+        res = runner.invoke(main, ["funcmat", "--function", f,
+                                   "--matrices", jordan2, "--exact"])
+        assert res.exit_code == 2
+        assert "boolean" in res.stderr
+        assert str(coeff) in res.stderr
+        assert res.stdout == ""
 
     def test_budget_exceeded_exit_3(self, runner, jordan2, square_fn):
         res = runner.invoke(main, ["funcmat", "--function", square_fn,
@@ -303,6 +323,34 @@ class TestSelftest:
         assert res.exit_code == 0
         assert res.output.count("PASS") == 4
         assert "FAIL" not in res.output
+
+
+class TestCommonOptions:
+    """Each command takes only the common options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "MATRIX", "--budget", "1"],
+        ["gen-fixture", "--blocks", "1:2", "--tol", "1"],
+        ["gen-fixture", "--blocks", "1:2", "--budget", "1"],
+        ["selftest", "--tol", "1"],
+        ["selftest", "--exact"],
+        ["selftest", "--json"],
+        ["selftest", "--budget", "1"],
+    ])
+    def test_unread_option_is_rejected(self, runner, jordan2, argv):
+        res = runner.invoke(main, [jordan2 if a == "MATRIX" else a
+                                   for a in argv])
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr
+
+    def test_read_options_are_accepted(self, runner, jordan2, tmp_path):
+        res = runner.invoke(main, ["decompose", jordan2, "--tol", "1e-8",
+                                   "--exact", "--json"])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["gen-fixture", "--blocks", "1:2",
+                                   "--exact", "--json"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["decomposition"]["exact"] is True
 
 
 class TestDeterminism:

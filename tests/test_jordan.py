@@ -138,14 +138,14 @@ class TestErrors:
     def test_structure_dim_mismatch(self):
         v = Matrix.identity(3, True)
         with pytest.raises(DecompositionError):
-            from_structure([(Fraction(1), [2])], v, exact=True)
+            from_structure([(Fraction(1), [2])], v)
 
     @pytest.mark.parametrize("length", [0, -1, 1.0])
     def test_chain_length_not_positive_integer(self, length):
         v = Matrix.identity(3, True)
         with pytest.raises(DecompositionError,
                            match=f"chain length {length} is not"):
-            from_structure([(Fraction(1), [3, length])], v, exact=True)
+            from_structure([(Fraction(1), [3, length])], v)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_auto_chain_count_guard(self, seed):
@@ -223,7 +223,7 @@ class TestChainMatrices:
                      for lam, lengths in structure]
                 _, truth = gen_fixture(s, seed=seed, exact=exact)
                 del products[:]
-                dec = from_structure(s, truth.transform, exact=exact)
+                dec = from_structure(s, truth.transform)
                 assert products == []
                 p = dec.blocks[0].projector
                 count = len(products)

@@ -99,6 +99,41 @@ class TestSlotOptions:
         assert all(o.order >= 1 for o in nil)
 
 
+class TestSlotSumInputs:
+    """The walk reads its slot options, dimension and arithmetic off the
+    decompositions it is given."""
+
+    def test_empty_restriction_gives_exact_zeros(self):
+        _, dec = gen_fixture([(Fraction(1), [1]), (Fraction(2), [1])],
+                             seed=0, exact=True)
+        assert slot_options(dec, "N") == []
+        f = polynomial([Fraction(1), Fraction(1)])
+        sums = eval_slot_sum(f, [dec], keys=[("N",)])
+        assert sums == {("N",): Matrix.zeros(2, True)}
+        assert sums[("N",)].exact
+
+    def test_empty_slot_among_others(self):
+        rng = random.Random(2)
+        _, diag = gen_fixture([(Fraction(1), [1]), (Fraction(2), [1])],
+                              seed=0, exact=True)
+        _, jordan = gen_fixture([(Fraction(3), [2])], seed=1, exact=True)
+        beta = lift_divided_difference(polynomial(_coeffs(rng, True)), 1)
+        y = random_matrix(rng, 2, exact=True)
+        keys = [("N", "full"), ("full", "full")]
+        sums = eval_slot_sum(beta, [diag, jordan], interleave=[y], keys=keys)
+        assert sums[keys[0]] == Matrix.zeros(2, True)
+        assert sums[keys[1]] == eval_gmoi(GmoiProblem(beta, (diag, jordan),
+                                                      (y,)))
+
+    def test_exact_full_walk(self):
+        _, dec = gen_fixture([(Fraction(3), [2]), (Fraction(-1), [1])],
+                             seed=5, exact=True)
+        coeffs = [Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(2)]
+        got = eval_slot_sum(polynomial(coeffs), [dec])
+        assert got.exact
+        assert got == horner(coeffs, dec.reconstruct())
+
+
 class TestBudget:
     def test_budget_exceeded(self):
         _, dec = gen_fixture([(Fraction(1), [1]), (Fraction(2), [1]),
@@ -167,8 +202,7 @@ class TestJordanCoordinates:
             want = chain_pattern_sums(f, decs, [])
             for mode in ("P", "N", "full"):
                 _assert_matches(
-                    eval_slot_sum(f, [slot_options(decs[0], mode)],
-                                  dim=dim, exact=exact),
+                    eval_slot_sum(f, [decs[0]], keys=[(mode,)])[(mode,)],
                     restrict(want, (mode,), dim, exact), exact)
             _assert_matches(eval_univariate(f, decs[0]),
                             restrict(want, ("full",), dim, exact), exact)

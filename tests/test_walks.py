@@ -10,7 +10,7 @@ import pytest
 from gmoical import (BudgetExceededError, GmoiProblem, eval_gmoi,
                      lift_divided_difference, norm_report, pattern_terms,
                      perturbation_check_gdoi, perturbation_check_general,
-                     polynomial, random_matrix)
+                     polynomial, random_matrix, slot_options)
 from gmoical import analysis, engine
 from gmoical.engine import eval_modes
 from slot_sum_reference import chain_pattern_sums, restrict
@@ -130,11 +130,11 @@ class TestWalkCounts:
 class TestBudgetNamesTheWalk:
     def test_combined_walk_counts_every_term(self):
         problem = _problem(1, 4, True, 9)
-        options = tuple(len(engine.slot_options(d)) for d in problem.params)
+        options = tuple(len(slot_options(d)) for d in problem.params)
         full = options[0] * options[1]
         largest = max(
-            len(engine.slot_options(problem.params[0], m0))
-            * len(engine.slot_options(problem.params[1], m1))
+            len(slot_options(problem.params[0], m0))
+            * len(slot_options(problem.params[1], m1))
             for m0, m1 in itertools.product("PN", repeat=2))
         assert largest < full
         # every pattern fits the budget alone, but one walk enumerates all
@@ -153,10 +153,8 @@ class TestBudgetNamesTheWalk:
     def test_plain_sum_has_no_keys(self):
         problem = _problem(1, 4, False, 11)
         with pytest.raises(BudgetExceededError) as info:
-            engine.eval_slot_sum(
-                problem.beta,
-                [engine.slot_options(d) for d in problem.params],
-                interleave=list(problem.args), budget=1)
+            engine.eval_slot_sum(problem.beta, problem.params,
+                                 interleave=list(problem.args), budget=1)
         assert info.value.keys is None
         assert info.value.dim == 4
         assert "modes" not in str(info.value)
