@@ -211,59 +211,96 @@ def contour_oracle(f, x, y, n):
     """d^n f(X + tY)/dt^n at t=0, in float, as n! times the resolvent
     integral (2 pi i)^-1 of f(w) R(w) (Y R(w))^n dw, R(w) = (wI - X)^-1
     (Higham, Functions of Matrices, 2008, section 3.2), by the trapezoid
-    rule on a circle (Trefethen and Weideman, SIAM Review 2014). It needs
+    rule on circles (Trefethen and Weideman, SIAM Review 2014). It needs
     no Jordan data and shares no code with the operator-integral engine.
 
-    The circle is centred at X's mean eigenvalue and lies strictly between
-    X's spectrum and the nearest pole of f. Of a ladder of such radii it
-    takes the one whose sum has the smallest terms, which scale its
-    rounding error. The node count starts at 64 and doubles until the
-    change is at most 1e-13 of that size, or no longer shrinks;
-    DerivativeError past 2**14 nodes."""
+    When no pole of f lies in the disc about X's mean eigenvalue that
+    holds the spectrum, the contour is one circle about that mean,
+    strictly between the spectrum and the nearest pole. Of a ladder of
+    such radii it takes the one whose sum has the smallest terms, which
+    scale its rounding error. Otherwise the eigenvalues are split into
+    clusters (single linkage, cutting the longest edge) until each
+    cluster's disc is free of poles and apart from the other discs, and
+    the contour is one circle per cluster, halfway into the room around
+    its disc. The node count starts at 64 and doubles until the change is
+    at most 1e-13 of the terms' size, or no longer shrinks;
+    DerivativeError past 2**14 nodes or for a pole on an eigenvalue."""
     import numpy as np
     if f.arity != 1:
         raise DerivativeError("contour oracle needs a univariate symbol")
     a, b = x.to_numpy(), y.to_numpy()
-    eigs = np.linalg.eigvals(a)
-    centre = complex(eigs.mean())
-    spread = float(np.abs(eigs - centre).max())
     # a negative power has a pole at 0, a rational one at each root of its
     # denominator; the other kinds are entire
     poles = [0j] if f.kind == "power" and f.meta["degree"] < 0 else []
     if f.kind == "rational":
         poles = np.roots([complex(scalar(c, False))
                           for c in reversed(f.meta["den"])])
-    pole = min(poles, key=lambda p: abs(p - centre), default=None)
-    gap = math.inf if pole is None else abs(pole - centre) - spread
-    if gap <= 0:
-        raise DerivativeError(
-            f"pole {pole} of f is no farther from the centre {centre} of "
-            f"X's spectrum than an eigenvalue is: no circle separates them")
 
-    def trapezoid(radius, nodes):
+    def disc(points):
+        """Centre, spread, nearest pole and the room between them."""
+        centre = complex(points.mean())
+        spread = float(np.abs(points - centre).max())
+        pole = min(poles, key=lambda p: abs(p - centre), default=None)
+        room = math.inf if pole is None else abs(pole - centre) - spread
+        return centre, spread, pole, room
+
+    def apart(d, e):
+        return abs(d[0] - e[0]) - d[1] - e[1]
+
+    groups = [np.linalg.eigvals(a)]
+    discs = [disc(groups[0])]
+    while True:
+        crowded = [k for k, d in enumerate(discs) if d[3] <= 0]
+        crowded += [max((k, h), key=lambda i: discs[i][1])
+                     for k in range(len(discs)) for h in range(k)
+                     if apart(discs[k], discs[h]) <= 0]
+        if not crowded:
+            break
+        k = crowded[0]
+        centre, spread, pole, _ = discs[k]
+        if spread == 0:
+            raise DerivativeError(
+                f"pole {pole} of f lies on the eigenvalue {centre} of X")
+        groups[k:k + 1] = _split(groups[k])
+        discs = [disc(g) for g in groups]
+
+    def trapezoid(circles, nodes):
         """The sum's value and the total Frobenius norm of its terms."""
         u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        w = centre + radius * u
-        res = np.linalg.inv(w[:, None, None] * np.eye(len(a)) - a)
-        prod = res
-        for _ in range(n):
-            prod = prod @ b @ res
-        weights = (np.array([f.eval(complex(z)) for z in w])
-                   * radius * u / nodes)
-        terms = weights[:, None, None] * prod
-        size = float(np.linalg.norm(terms, axis=(1, 2)).sum())
-        return terms.sum(axis=0), size
+        parts = []
+        for centre, radius in circles:
+            w = centre + radius * u
+            res = np.linalg.inv(w[:, None, None] * np.eye(len(a)) - a)
+            prod = res
+            for _ in range(n):
+                prod = prod @ b @ res
+            weights = (np.array([f.eval(complex(z)) for z in w])
+                       * radius * u / nodes)
+            terms = weights[:, None, None] * prod
+            parts.append((terms.sum(axis=0),
+                          float(np.linalg.norm(terms, axis=(1, 2)).sum())))
+        return (sum((p[0] for p in parts[1:]), parts[0][0]),
+                sum(p[1] for p in parts))
 
-    margins = [max(1.0, spread) * 2.0 ** j for j in range(-2, 5)]
-    radii = ([spread + m for m in margins if 2 * m < gap]
-             or [spread + gap / 2])
-    value, _, radius = min((trapezoid(r, 64) + (r,) for r in radii),
-                           key=lambda t: t[1])
+    if len(discs) == 1:
+        centre, spread, _, gap = discs[0]
+        margins = [max(1.0, spread) * 2.0 ** j for j in range(-2, 5)]
+        radii = ([spread + m for m in margins if 2 * m < gap]
+                 or [spread + gap / 2])
+        value, _, circles = min(
+            (trapezoid([(centre, r)], 64) + ([(centre, r)],) for r in radii),
+            key=lambda t: t[1])
+    else:
+        circles = []
+        for d in discs:
+            room = min([d[3]] + [apart(d, e) / 2 for e in discs if e is not d])
+            circles.append((d[0], d[1] + room / 2))
+        value, _ = trapezoid(circles, 64)
     nodes = 64
     last = math.inf
     while nodes < _MAX_NODES:
         nodes *= 2
-        new, size = trapezoid(radius, nodes)
+        new, size = trapezoid(circles, nodes)
         change = float(np.linalg.norm(new - value))
         value = new
         if change <= 1e-13 * size or change >= last:
@@ -271,3 +308,22 @@ def contour_oracle(f, x, y, n):
         last = change
     raise DerivativeError(
         f"contour sum did not settle within {_MAX_NODES} nodes")
+
+
+def _split(points):
+    """``points`` in two clusters: the parts of their minimum spanning
+    tree without its longest edge (Kruskal, stopped at two parts)."""
+    label = list(range(len(points)))
+    edges = sorted((abs(points[i] - points[j]), i, j)
+                   for i in range(len(points)) for j in range(i))
+    parts = len(points)
+    for _, i, j in edges:
+        if parts == 2:
+            break
+        if label[i] != label[j]:
+            old = label[i]
+            label = [label[j] if lab == old else lab for lab in label]
+            parts -= 1
+    first = [i for i, lab in enumerate(label) if lab == label[0]]
+    rest = [i for i, lab in enumerate(label) if lab != label[0]]
+    return [points[first], points[rest]]

@@ -437,6 +437,17 @@ def _json_scalar(value):
     return value
 
 
+def _json_int(value, name, minimum=None):
+    """An integer field of a function's JSON. Booleans, other types and
+    values below ``minimum`` raise FunctionError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FunctionError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise FunctionError(f"{name} must be at least {minimum}, "
+                            f"got {value!r}")
+    return value
+
+
 def function_from_json(obj):
     """Build a MultiFunction from its JSON description {"kind": ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -452,15 +463,17 @@ def function_from_json(obj):
         return rational_function([_json_scalar(c) for c in obj["num"]],
                                  [_json_scalar(c) for c in obj["den"]])
     if kind == "power":
-        return power_function(obj["degree"])
+        return power_function(_json_int(obj["degree"], "degree"))
     if kind == "polynomial-multi":
-        return multivariate_polynomial(obj["arity"],
-                                       [(_json_scalar(t["coeff"]),
-                                         t["exponents"])
-                                        for t in obj["terms"]])
+        return multivariate_polynomial(
+            _json_int(obj["arity"], "arity", 1),
+            [(_json_scalar(t["coeff"]),
+              [_json_int(e, "exponent", 0) for e in t["exponents"]])
+             for t in obj["terms"]])
     if kind == "dd-lift":
         return lift_divided_difference(function_from_json(obj["base"]),
-                                       obj["order"])
+                                       _json_int(obj["order"], "order", 0))
     if kind == "product-moi":
-        return product_symbol(function_from_json(obj["beta"]), obj["zeta"])
+        return product_symbol(function_from_json(obj["beta"]),
+                              _json_int(obj["zeta"], "zeta", 0))
     raise FunctionError(f"unknown function kind {kind!r}")

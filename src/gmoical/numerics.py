@@ -1,15 +1,21 @@
 """Scalar and matrix arithmetic in two modes: float (Python complex) and
-exact rational complex (Fraction pairs).
+exact rational complex (Fraction pairs, ``QC``).
 
-Matrices are small (dim <= 16) dense pure-Python objects so that the same
-code path serves both modes; conversion to/from numpy happens only at the
-boundary (see :mod:`gmoical.jordan`).
+Matrices are small (dim <= 16) dense pure-Python objects with one
+interface in both modes; conversion to/from numpy happens only at the
+boundary (see :mod:`gmoical.jordan`). Float ``mat_mul`` and ``inverse``
+are plain loops over complex entries. Their exact kernels write a matrix
+as (R + iI) / d, integer numerator rows over the least common denominator
+of its entries: a product takes integer dot products and reduces each
+entry once, and the inverse is fraction-free Gauss-Jordan elimination
+over the Gaussian integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 class NumericsError(ValueError):
@@ -370,6 +376,8 @@ class Matrix:
 
 def mat_mul(a, b):
     a._check(b)
+    if a.exact:
+        return _exact_mat_mul(a, b)
     n = a.dim
     br = b.rows
     out = []
@@ -382,7 +390,37 @@ def mat_mul(a, b):
                 s = s + ar[k] * br[k][j]
             row.append(s)
         out.append(row)
-    return Matrix(out, exact=a.exact)
+    return Matrix(out, exact=False)
+
+
+def _numerators(rows):
+    """Rows of exact scalars as (R, I, d): integer rows R and I and the
+    least common denominator d of every part, with rows = (R + iI) / d."""
+    d = math.lcm(*(p.denominator for r in rows for e in r
+                   for p in (e.re, e.im)))
+    re = [[e.re.numerator * (d // e.re.denominator) for e in r]
+          for r in rows]
+    im = [[e.im.numerator * (d // e.im.denominator) for e in r]
+          for r in rows]
+    return re, im, d
+
+
+def _exact_mat_mul(a, b):
+    """The exact product over Gaussian integers: four integer dot
+    products per entry and one reduction over d_a * d_b."""
+    ar, ai, da = _numerators(a.rows)
+    br, bi, db = _numerators(b.rows)
+    cols = list(zip(zip(*br), zip(*bi)))
+    den = da * db
+    out = []
+    for x, y in zip(ar, ai):
+        row = []
+        for u, v in cols:
+            re = sum(map(mul, x, u)) - sum(map(mul, y, v))
+            im = sum(map(mul, x, v)) + sum(map(mul, y, u))
+            row.append(QC(Fraction(re, den), Fraction(im, den)))
+        out.append(row)
+    return Matrix(out, exact=True)
 
 
 def frobenius_norm(a):
@@ -390,30 +428,29 @@ def frobenius_norm(a):
 
 
 def inverse(a):
-    """Gauss-Jordan inverse. Exact mode pivots on any nonzero entry;
-    float mode uses partial pivoting and raises SingularMatrixError with a
-    condition indicator when the pivot is negligible."""
+    """Gauss-Jordan inverse. Exact mode eliminates fraction-free over the
+    Gaussian integers; float mode uses partial pivoting and raises
+    SingularMatrixError with a condition indicator when the pivot is
+    negligible."""
+    if a.exact:
+        return _exact_inverse(a)
     n = a.dim
     aug = [list(ra) + list(rb)
-           for ra, rb in zip(a.rows, Matrix.identity(n, a.exact).rows)]
+           for ra, rb in zip(a.rows, Matrix.identity(n, False).rows)]
     scale_ref = a.max_abs() or 1.0
     min_pivot = math.inf
     for col in range(n):
         piv_row = max(range(col, n), key=lambda r: _mod_sq(aug[r][col]))
         piv = aug[piv_row][col]
         piv_abs = math.sqrt(float(_mod_sq(piv)))
-        if a.exact:
-            if not _mod_sq(piv):
-                raise SingularMatrixError("matrix is singular (exact)")
-        else:
-            if piv_abs <= 1e-13 * scale_ref:
-                cond = scale_ref / piv_abs if piv_abs else math.inf
-                raise SingularMatrixError(
-                    f"matrix is numerically singular (pivot {piv_abs:.3e})",
-                    condition=cond)
+        if piv_abs <= 1e-13 * scale_ref:
+            cond = scale_ref / piv_abs if piv_abs else math.inf
+            raise SingularMatrixError(
+                f"matrix is numerically singular (pivot {piv_abs:.3e})",
+                condition=cond)
         min_pivot = min(min_pivot, piv_abs)
         aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        inv_piv = QC(1) / piv if a.exact else 1.0 / piv
+        inv_piv = 1.0 / piv
         aug[col] = [e * inv_piv for e in aug[col]]
         for r in range(n):
             if r == col:
@@ -422,4 +459,46 @@ def inverse(a):
             if not _mod_sq(f):
                 continue
             aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return Matrix([row[n:] for row in aug], exact=a.exact)
+    return Matrix([row[n:] for row in aug], exact=False)
+
+
+def _exact_inverse(a):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on [M | I] for
+    a = M / d with M over the Gaussian integers, real and imaginary parts
+    in separate integer rows. Step k replaces each row i != k by
+    (p_k row_i - m_ik row_k) / p_{k-1}, where p_k is the k-th pivot; every
+    division is exact. The left half ends as p I and the right half as
+    p M^-1, for the last pivot p, so a^-1 = d (p M^-1) / p."""
+    n = a.dim
+    re, im, d = _numerators(a.rows)
+    ar = [r + [int(i == j) for j in range(n)] for i, r in enumerate(re)]
+    ai = [r + [0] * n for r in im]
+    pr, pi = 1, 0               # the previous pivot pr + i pi
+    for k in range(n):
+        piv = next((r for r in range(k, n) if ar[r][k] or ai[r][k]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular (exact)")
+        ar[k], ar[piv] = ar[piv], ar[k]
+        ai[k], ai[piv] = ai[piv], ai[k]
+        kr, ki = ar[k], ai[k]
+        cr, ci = kr[k], ki[k]
+        norm = pr * pr + pi * pi
+        for i in range(n):
+            if i == k:
+                continue
+            xr, xi = ar[i], ai[i]
+            fr, fi = xr[k], xi[k]
+            # (c row_i - f row_k) / p as (...) conj(p) / |p|^2, with the
+            # pivot c = cr + i ci and f = fr + i fi
+            tr = [cr * u - ci * v - fr * s + fi * t
+                  for u, v, s, t in zip(xr, xi, kr, ki)]
+            ti = [cr * v + ci * u - fr * t - fi * s
+                  for u, v, s, t in zip(xr, xi, kr, ki)]
+            ar[i] = [(u * pr + v * pi) // norm for u, v in zip(tr, ti)]
+            ai[i] = [(v * pr - u * pi) // norm for u, v in zip(tr, ti)]
+        pr, pi = cr, ci
+    norm = pr * pr + pi * pi
+    return Matrix([[QC(Fraction(d * (u * pr + v * pi), norm),
+                       Fraction(d * (v * pr - u * pi), norm))
+                    for u, v in zip(xr[n:], xi[n:])]
+                   for xr, xi in zip(ar, ai)], exact=True)

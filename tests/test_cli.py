@@ -114,6 +114,43 @@ class TestFuncmat:
         assert str(coeff) in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("symbol, field", [
+        ({"kind": "power", "degree": True}, "degree"),
+        ({"kind": "power", "degree": 2.7}, "degree"),
+        ({"kind": "power", "degree": "3"}, "degree"),
+        ({"kind": "dd-lift", "base": {"kind": "exp"}, "order": 1.5},
+         "order"),
+        ({"kind": "dd-lift", "base": {"kind": "exp"}, "order": -1},
+         "order"),
+        ({"kind": "product-moi", "zeta": True,
+          "beta": {"kind": "polynomial-multi", "arity": 2,
+                   "terms": [{"coeff": 1, "exponents": [1, 0]}]}}, "zeta"),
+        ({"kind": "polynomial-multi", "arity": 1.0,
+          "terms": [{"coeff": 1, "exponents": [1]}]}, "arity"),
+        ({"kind": "polynomial-multi", "arity": 1,
+          "terms": [{"coeff": 1, "exponents": [-1]}]}, "exponent"),
+        ({"kind": "polynomial-multi", "arity": 1,
+          "terms": [{"coeff": 1, "exponents": [True]}]}, "exponent"),
+    ])
+    def test_integer_field_checked(self, runner, tmp_path, jordan2, symbol,
+                                   field):
+        f = _write(tmp_path, "f.json", symbol)
+        res = runner.invoke(main, ["funcmat", "--function", f,
+                                   "--matrices", jordan2])
+        assert res.exit_code == 2
+        assert f"{field} must be" in res.stderr
+        assert res.stdout == ""
+
+    def test_negative_degree(self, runner, tmp_path, jordan2):
+        f = _write(tmp_path, "f.json", {"kind": "power", "degree": -1})
+        res = runner.invoke(main, ["funcmat", "--function", f,
+                                   "--matrices", jordan2, "--exact",
+                                   "--json"])
+        assert res.exit_code == 0
+        # [[2, 1], [0, 2]]^-1 = [[1/2, -1/4], [0, 1/2]]
+        assert json.loads(res.output)["result"]["entries"] == [
+            [["1/2", 0], ["-1/4", 0]], [[0, 0], ["1/2", 0]]]
+
     def test_budget_exceeded_exit_3(self, runner, jordan2, square_fn):
         res = runner.invoke(main, ["funcmat", "--function", square_fn,
                                    "--matrices", jordan2, "--budget", "0"])
@@ -259,7 +296,15 @@ class TestDerivative:
             [[0.0, 0.0], [3.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]]
         assert payload["oracleResidual"] <= 1e-12 * 18 ** 0.5
 
-    def test_verify_pole_inside_circle(self, runner, tmp_path):
+    @staticmethod
+    def _verify_is_relative_1e12(res):
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        norm = sum(p * p for row in payload["result"]["entries"]
+                   for entry in row for p in entry) ** 0.5
+        assert payload["oracleResidual"] <= 1e-12 * norm
+
+    def test_verify_pole_between_eigenvalues(self, runner, tmp_path):
         # no circle centred at 1 holds -1 and 3 but leaves out 3/2
         x = _write(tmp_path, "x.json",
                    {"dim": 2, "entries": [[-1, 0], [0, 0], [0, 0], [3, 0]]})
@@ -267,11 +312,24 @@ class TestDerivative:
                    {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]})
         f = _write(tmp_path, "f.json",
                    {"kind": "rational", "num": [1], "den": ["-3/2", 1]})
-        argv = ["derivative", "--function", f, "--x", x, "--y", y]
-        assert runner.invoke(main, argv).exit_code == 0
-        res = runner.invoke(main, argv + ["--verify"])
-        assert res.exit_code == 2
-        assert "pole (1.5" in res.stderr
+        self._verify_is_relative_1e12(runner.invoke(main, [
+            "derivative", "--function", f, "--x", x, "--y", y, "--verify",
+            "--json"]))
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_verify_pole_beside_a_jordan_block(self, runner, tmp_path,
+                                               order):
+        # z^-2 on eigenvalues 1/2 (chain 2) and 2
+        x = _write(tmp_path, "x.json", {"dim": 3, "entries": [
+            [0.5, 0], [1, 0], [0, 0], [0, 0], [0.5, 0], [0, 0],
+            [0, 0], [0, 0], [2, 0]]})
+        y = _write(tmp_path, "y.json", {"dim": 3, "entries": [
+            [1, 0], [-1, 0], [0, 1], [2, 0], [0, 0], [1, 0],
+            [0, -1], [3, 0], [1, 0]]})
+        f = _write(tmp_path, "f.json", {"kind": "power", "degree": -2})
+        self._verify_is_relative_1e12(runner.invoke(main, [
+            "derivative", "--function", f, "--x", x, "--y", y, "--order",
+            order, "--verify", "--json"]))
 
 
 class TestGenFixture:

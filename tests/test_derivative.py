@@ -328,14 +328,36 @@ class TestOracles:
                 assert frobenius_norm(got - want) <= \
                     1e-12 * frobenius_norm(want)
 
-    def test_pole_inside_the_circle(self):
+    def test_pole_between_eigenvalues(self):
+        # no circle centred at 1 holds -1 and 3 but leaves out the pole:
+        # one circle per eigenvalue
         x = Matrix([[-1, 0], [0, 3]], exact=False)
         y = float_matrix(random.Random(13), 2)
-        f = rational_function([1.0], [-1.5, 1.0])
-        with pytest.raises(DerivativeError, match=r"pole \(1\.5"):
+        for f in (rational_function([1.0], [-1.5, 1.0]), power_function(-1)):
+            want = nth_derivative(f, x, y, 1)
+            got = contour_oracle(f, x, y, 1)
+            assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    def test_pole_beside_a_jordan_block(self):
+        # z^-2 on eigenvalues 1/2 (chain 2) and 2: the pole at 0 is as far
+        # from the mean 1 as the spectrum, so the clusters get a circle each
+        x = Matrix([[0.5, 1, 0], [0, 0.5, 0], [0, 0, 2]], exact=False)
+        y = float_matrix(random.Random(16), 3)
+        f = power_function(-2)
+        for n in (1, 2):
+            want = nth_derivative(f, x, y, n)
+            got = contour_oracle(f, x, y, n)
+            assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    def test_pole_on_an_eigenvalue(self):
+        x = Matrix([[-1, 0], [0, 3]], exact=False)
+        y = float_matrix(random.Random(13), 2)
+        f = rational_function([1.0], [-3.0, 1.0])
+        with pytest.raises(DerivativeError,
+                           match=r"pole \(3[+-]0j\) of f lies on"):
             contour_oracle(f, x, y, 1)
-        with pytest.raises(DerivativeError, match="pole 0j"):
-            contour_oracle(power_function(-1), x, y, 1)
+        with pytest.raises(DerivativeError, match="pole 0j of f lies on"):
+            contour_oracle(power_function(-1), x - x, y, 1)
 
     def test_pole_next_to_the_spectrum(self):
         # a circle between spectrum and pole converges too slowly to

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gmoical import (DimensionMismatchError, Matrix, NumericsError, QC,
                      SingularMatrixError, frobenius_norm, inverse, mat_mul)
+from exact_kernel_reference import inverse_reference, mat_mul_reference
 
 
 def qc(a, b=0):
@@ -149,3 +150,79 @@ class TestMatrix:
         f = m.to_float()
         assert not f.exact
         assert f.to_numpy()[0][0] == 0.5
+
+
+_part = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+_entry = st.one_of(
+    st.just(qc(0)),
+    _part.map(qc),
+    _part.map(lambda y: qc(0, y)),
+    st.builds(qc, _part, _part))
+
+
+def _square(n):
+    return st.lists(st.lists(_entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+                        lambda rows: Matrix(rows, exact=True))
+
+
+_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(_square(n),
+                                                       _square(n)))
+
+
+class TestExactKernels:
+    """The Gaussian-integer kernels against the per-entry QC reference."""
+
+    @given(_pairs)
+    @settings(max_examples=40, deadline=None)
+    def test_product_matches_reference(self, ab):
+        a, b = ab
+        assert mat_mul(a, b).rows == mat_mul_reference(a, b).rows
+
+    @given(st.integers(1, 6).flatmap(_square))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_matches_reference(self, a):
+        try:
+            want = inverse_reference(a)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError,
+                               match=r"^matrix is singular \(exact\)$"):
+                inverse(a)
+            return
+        got = inverse(a)
+        assert got.rows == want.rows
+        assert mat_mul(got, a) == Matrix.identity(a.dim, True)
+
+    @given(st.integers(2, 6).flatmap(
+        lambda n: st.tuples(_square(n), st.lists(_entry, min_size=n - 1,
+                                                 max_size=n - 1))))
+    @settings(max_examples=30, deadline=None)
+    def test_rank_deficient_raises(self, case):
+        # the last row is a combination of the others
+        a, coeffs = case
+        rows = [list(r) for r in a.rows[:-1]]
+        last = [sum((c * r[j] for c, r in zip(coeffs, rows)), qc(0))
+                for j in range(a.dim)]
+        m = Matrix(rows + [last], exact=True)
+        for inv in (inverse, inverse_reference):
+            with pytest.raises(SingularMatrixError,
+                               match=r"^matrix is singular \(exact\)$"):
+                inv(m)
+
+    def test_real_gaussian_integer_inverse(self):
+        m = Matrix([[qc(2), qc(1)], [qc(1), qc(1)]], exact=True)
+        assert inverse(m) == Matrix([[qc(1), qc(-1)], [qc(-1), qc(2)]],
+                                    exact=True)
+        assert inverse(Matrix([[qc(0, 2)]], exact=True)) == \
+            Matrix([[qc(0, Fraction(-1, 2))]], exact=True)
+
+    def test_dim_16_product(self):
+        rng = random.Random(23)
+
+        def part():
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+        a, b = (Matrix([[qc(part(), part() if rng.random() < 0.5 else 0)
+                         for _ in range(16)] for _ in range(16)], exact=True)
+                for _ in range(2))
+        assert mat_mul(a, b).rows == mat_mul_reference(a, b).rows
