@@ -171,7 +171,7 @@ def rational_function(num_coeffs, den_coeffs):
 
 def power_function(d):
     """z**d for integer d (negative allowed away from 0)."""
-    d = int(d)
+    _integer(d, "degree")
 
     def ev(args):
         z, = args
@@ -202,8 +202,11 @@ def power_function(d):
 
 def multivariate_polynomial(arity, terms):
     """sum over terms (coeff, exponents) of coeff * prod z_j**e_j."""
+    _integer(arity, "arity", 1)
     terms = [(c, tuple(e)) for c, e in terms]
     for _, e in terms:
+        for x in e:
+            _integer(x, "exponent", 0)
         if len(e) != arity:
             raise FunctionError("term exponent tuple has wrong length")
 
@@ -239,7 +242,8 @@ def product_symbol(beta, num_linear):
     """The symbol f(z_1,...,z_{2r-1}) = beta(z_1, z_3, ..., z_{2r-1}) *
     z_2 * z_4 * ... used to express a multiple operator integral as a plain
     multivariate matrix function: the even slots are linear placeholders
-    for the integrated arguments."""
+    for the integrated arguments, ``num_linear`` = zeta of them."""
+    _integer(num_linear, "zeta", 0)
     arity = beta.arity + num_linear
     if num_linear != beta.arity - 1:
         raise FunctionError(
@@ -396,6 +400,7 @@ def lift_divided_difference(f, k):
     prod q_j!."""
     if f.arity != 1:
         raise FunctionError("lift needs a univariate function")
+    _integer(k, "order", 0)
     return _lift(f, k, None)
 
 
@@ -437,15 +442,15 @@ def _json_scalar(value):
     return value
 
 
-def _json_int(value, name, minimum=None):
-    """An integer field of a function's JSON. Booleans, other types and
-    values below ``minimum`` raise FunctionError."""
+def _integer(value, name, minimum=None):
+    """Check an integer argument of a constructor, which is also a field
+    of the function's JSON: booleans, other types and values below
+    ``minimum`` raise FunctionError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise FunctionError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise FunctionError(f"{name} must be at least {minimum}, "
                             f"got {value!r}")
-    return value
 
 
 def function_from_json(obj):
@@ -463,17 +468,14 @@ def function_from_json(obj):
         return rational_function([_json_scalar(c) for c in obj["num"]],
                                  [_json_scalar(c) for c in obj["den"]])
     if kind == "power":
-        return power_function(_json_int(obj["degree"], "degree"))
+        return power_function(obj["degree"])
     if kind == "polynomial-multi":
         return multivariate_polynomial(
-            _json_int(obj["arity"], "arity", 1),
-            [(_json_scalar(t["coeff"]),
-              [_json_int(e, "exponent", 0) for e in t["exponents"]])
-             for t in obj["terms"]])
+            obj["arity"], [(_json_scalar(t["coeff"]), t["exponents"])
+                           for t in obj["terms"]])
     if kind == "dd-lift":
         return lift_divided_difference(function_from_json(obj["base"]),
-                                       _json_int(obj["order"], "order", 0))
+                                       obj["order"])
     if kind == "product-moi":
-        return product_symbol(function_from_json(obj["beta"]),
-                              _json_int(obj["zeta"], "zeta", 0))
+        return product_symbol(function_from_json(obj["beta"]), obj["zeta"])
     raise FunctionError(f"unknown function kind {kind!r}")

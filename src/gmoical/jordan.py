@@ -10,16 +10,28 @@ hold by construction; ``validate`` measures the residuals.
 ``components`` groups the chains per distinct eigenvalue, by exact
 equality of the stored eigenvalue, as column index pairs of the shift
 powers, which is what the slot sums of :mod:`spectral_map` use.
+
+``decompose`` finds the structure of a float matrix with numpy, and that
+of an exact one over the Gaussian integers: the characteristic polynomial
+by Berkowitz's division-free algorithm, eigenvalues certified exactly,
+and ranks and nullspaces by fraction-free elimination
+(``numerics.gauss_jordan``). The exact transform is canonical, the one
+sympy's ``jordan_form`` returns: nullspace vectors come from the reduced
+row echelon form, and each chain's top is the first one independent of
+those before it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from .numerics import (Matrix, QC, SingularMatrixError, frobenius_norm,
-                       inverse, mat_mul, scalar, scalar_key)
+from .numerics import (Matrix, QC, SingularMatrixError, _numerators,
+                       frobenius_norm, gauss_jordan, gauss_mat_mul, inverse,
+                       mat_mul, scalar, scalar_key)
 
 
 class DecompositionError(ValueError):
@@ -363,43 +375,252 @@ def _chain_vectors(b, lengths, thr):
 
 
 def _decompose_auto_exact(x):
-    import sympy
-    n = x.dim
-    sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(x.rows[i][j].re)
-                      + sympy.I * sympy.Rational(x.rows[i][j].im))
-    try:
-        p, j = sm.jordan_form()
-    except Exception as e:      # sympy raises various types
-        raise DecompositionError(f"exact Jordan form failed: {e}") from e
-    # read chains off J, one (eigenvalue, [length]) entry per chain
-    structure = []
-    col = 0
-    while col < n:
-        lam = j[col, col]
-        length = 1
-        while col + length < n and j[col + length - 1, col + length] == 1:
-            length += 1
-        structure.append((_sympy_to_qc(lam), [length]))
-        col += length
-    v_rows = [[_sympy_to_qc(p[i, c]) for c in range(n)] for i in range(n)]
-    return from_structure(structure, Matrix(v_rows, exact=True))
+    """Write x = B / d over the Gaussian integers (``_numerators``); its
+    eigenvalues are mu / d for the eigenvalues mu of B, and its chains
+    are those of E = B - mu I, since x - lambda I = E / d."""
+    re, im, d = _numerators(x.rows)
+    structure = []    # one (eigenvalue, [chain length]) pair per chain
+    cols = []         # the chain vectors, in structure order
+    for (mr, mi), mult in _eigenvalues(re, im, d):
+        er = [[u - mr * (i == j) for j, u in enumerate(r)]
+              for i, r in enumerate(re)]
+        ei = [[u - mi * (i == j) for j, u in enumerate(r)]
+              for i, r in enumerate(im)]
+        lam = QC(Fraction(mr, d), Fraction(mi, d))
+        for chain in _chains(er, ei, mult, d):
+            structure.append((lam, [len(chain)]))
+            cols.extend(chain)
+    return from_structure(structure, Matrix(list(zip(*cols)), exact=True))
 
 
-def _sympy_to_qc(val):
-    re, im = val.as_real_imag()
-    if not (re.is_rational and im.is_rational):
+def _eigenvalues(re, im, d):
+    """The distinct eigenvalues mu of B = re + i im, each a Gaussian
+    integer (re, im), and their algebraic multiplicities, as dict items.
+    The roots of the square-free part g = chi / gcd(chi, chi') of the
+    characteristic polynomial chi are simple, so numpy finds them to near
+    full precision;
+    a monic polynomial over Z[i] has its rational roots in Z[i], so
+    ``_root_near`` rounds each onto Z[i] and certifies g(mu) = 0 exactly.
+    DecompositionError names an eigenvalue of B / d that is not
+    rational."""
+    import numpy as np
+    chi = _charpoly(re, im)
+    gcd = _poly_gcd(chi, [((len(chi) - 1 - k) * a, (len(chi) - 1 - k) * b)
+                          for k, (a, b) in enumerate(chi[:-1])])
+    g = _pseudo_divmod(chi, [_gdiv(c, gcd[0]) for c in gcd])[0]
+    # roots of g(2^e y) / 2^(e deg g), whose coefficients fit in floats
+    e = max((max(abs(a), abs(b)).bit_length() + k - 1) // k
+            for k, (a, b) in enumerate(g) if k)
+    scaled = [complex(a / 2 ** (e * k), b / 2 ** (e * k))
+              for k, (a, b) in enumerate(g)]
+    mults = {}
+    for y in np.roots(scaled):
+        z = complex(y) * 2.0 ** e
+        mu = _root_near(g, z)
+        if mu is None:
+            raise DecompositionError(
+                "exact decomposition requires rational eigenvalues: "
+                f"found one near {z / d:.6g}")
+        mult, rem = 0, chi
+        while True:
+            quo, (tail,) = _pseudo_divmod(rem, [(1, 0), (-mu[0], -mu[1])])
+            if tail != (0, 0):
+                break
+            mult, rem = mult + 1, quo
+        mults[mu] = mult
+    if sum(mults.values()) != len(re):
         raise DecompositionError(
-            "exact decomposition requires rational eigenvalues; "
-            f"got {val}")
-    return QC(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+            f"exact decomposition found eigenvalue multiplicities "
+            f"{list(mults.values())} for a matrix of dim {len(re)}")
+    return mults.items()
+
+
+def _root_near(g, z):
+    """The root of g in Z[i] that the float root z approximates, or None.
+    z is rounded onto Z[i] and refined by Newton steps in exact
+    arithmetic, each rounded onto Z[i], which reach the root where a float
+    cannot resolve it (|z| beyond 2^53); a simple root is reached in a
+    few steps."""
+    mu = (round(z.real), round(z.imag))
+    for _ in range(8):
+        lin = [(1, 0), (-mu[0], -mu[1])]
+        quo, (val,) = _pseudo_divmod(g, lin)
+        if val == (0, 0):
+            return mu
+        slope = _pseudo_divmod(quo, lin)[1][0]    # g'(mu)
+        norm = slope[0] * slope[0] + slope[1] * slope[1]
+        if not norm:
+            return None
+        step = (round(Fraction(val[0] * slope[0] + val[1] * slope[1], norm)),
+                round(Fraction(val[1] * slope[0] - val[0] * slope[1], norm)))
+        if step == (0, 0):
+            return None
+        mu = (mu[0] - step[0], mu[1] - step[1])
+    return None
+
+
+def _chains(er, ei, mult, d):
+    """The Jordan chains of an eigenvalue of algebraic multiplicity
+    ``mult``, for E = er + i ei, as sympy's ``jordan_form`` picks them,
+    each a list of exact columns with the eigenvector first. The nullities
+    d_k of E^k give 2 d_k - d_(k-1) - d_(k+1) chains of length k, longest
+    first. A chain of length m has as its top v the first nullspace vector
+    of E^m that is independent of the nullspace of E^(m-1) and of the
+    eigenvalue's earlier chain vectors, and its columns are
+    (E / d)^i v for i = m-1, ..., 0. A nullspace vector sets one free
+    variable of the reduced row echelon form to 1 and each pivot variable
+    to minus that row's entry in the free column."""
+    n = len(er)
+    power = (er, ei)
+    nulls = [([], None)]  # per k, a basis p v of the nullspace of E^k, p
+    # the nullity of E^k grows with k until it reaches mult
+    while len(nulls[-1][0]) < mult:
+        if len(nulls) > 1:
+            power = gauss_mat_mul(*power, er, ei)
+        rr, ri = _primitive(zip(*power))
+        pivots, p = gauss_jordan(rr, ri, n)
+        basis = []
+        for f in range(n):
+            if f not in pivots:
+                vr, vi = [0] * n, [0] * n
+                vr[f], vi[f] = p
+                for row, c in enumerate(pivots):
+                    vr[c], vi[c] = -rr[row][f], -ri[row][f]
+                basis.append((vr, vi))
+        nulls.append((basis, p))
+    dims = [len(v) for v, _ in nulls] + [mult]
+    lengths = [k for k in range(len(nulls) - 1, 0, -1)
+               for _ in range(2 * dims[k] - dims[k - 1] - dims[k + 1])]
+    chains = []
+    used = []         # the eigenvalue's chain vectors so far
+    for m in lengths:
+        avoid = nulls[m - 1][0] + used
+        rank = _rank(avoid, n)
+        candidates, (pr, pi) = nulls[m]
+        vr, vi = next(v for v in candidates
+                      if _rank(avoid + [v], n) > rank)
+        chain = []
+        for i in range(m):
+            if i:
+                vr, vi = _apply(er, ei, vr, vi)
+            used.append((vr, vi))
+            qr, qi = pr * d ** i, pi * d ** i
+            norm = qr * qr + qi * qi
+            chain.append([QC(Fraction(u * qr + v * qi, norm),
+                             Fraction(v * qr - u * qi, norm))
+                          for u, v in zip(vr, vi)])
+        chains.append(chain[::-1])
+    return chains
+
+
+def _primitive(rows):
+    """Gaussian-integer rows (re, im) as new integer rows re and im, each
+    row divided by the gcd of its parts: the same row space and reduced
+    row echelon form, with smaller entries to eliminate."""
+    out_r, out_i = [], []
+    for r, i in rows:
+        g = math.gcd(*r, *i) or 1
+        out_r.append([u // g for u in r])
+        out_i.append([u // g for u in i])
+    return out_r, out_i
+
+
+def _rank(vectors, n):
+    """The rank of Gaussian-integer vectors (re, im) of length n."""
+    return len(gauss_jordan(*_primitive(vectors), n)[0])
+
+
+def _apply(er, ei, vr, vi):
+    """E v for the Gaussian-integer matrix er + i ei and vector vr + i vi."""
+    return ([sum(map(mul, x, vr)) - sum(map(mul, y, vi))
+             for x, y in zip(er, ei)],
+            [sum(map(mul, x, vi)) + sum(map(mul, y, vr))
+             for x, y in zip(er, ei)])
+
+
+# Polynomials over Z[i]: lists of coefficients (re, im), leading first.
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gdiv(x, y):
+    """x / y for Gaussian integers that y divides."""
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) // norm,
+            (x[1] * y[0] - x[0] * y[1]) // norm)
+
+
+def _charpoly(re, im):
+    """det(xI - B) for B = re + i im by Berkowitz's division-free
+    algorithm (Berkowitz 1984): step k multiplies the polynomial of the
+    leading k x k block A by the lower triangular Toeplitz matrix with
+    first column 1, -b_kk, -r c, -r A c, ..., -r A^(k-1) c, where c is
+    the column above b_kk and r the row left of it."""
+    poly = [(1, 0)]
+    for k in range(len(re)):
+        ar, ai = [r[:k] for r in re[:k]], [r[:k] for r in im[:k]]
+        cr, ci = [r[k] for r in re[:k]], [r[k] for r in im[:k]]
+        rr, ri = re[k][:k], im[k][:k]
+        col = [(1, 0), (-re[k][k], -im[k][k])]
+        for j in range(k):
+            if j:
+                cr, ci = _apply(ar, ai, cr, ci)
+            col.append((sum(map(mul, ri, ci)) - sum(map(mul, rr, cr)),
+                        -sum(map(mul, rr, ci)) - sum(map(mul, ri, cr))))
+        poly = [(sum(t[0] * p[0] - t[1] * p[1] for t, p in pairs),
+                 sum(t[0] * p[1] + t[1] * p[0] for t, p in pairs))
+                for pairs in ([(col[j - i], poly[i])
+                               for i in range(min(j, k) + 1)]
+                              for j in range(k + 2))]
+    return poly
+
+
+def _pseudo_divmod(a, b):
+    """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r, where r keeps
+    the len(b) - 1 low coefficients: division when b is monic."""
+    lead = b[0]
+    q, r = [], list(a)
+    for _ in range(len(a) - len(b) + 1):
+        f = r[0]
+        q = [_gmul(lead, c) for c in q] + [f]
+        r = [(x[0] - y[0], x[1] - y[1]) for x, y in
+             zip((_gmul(lead, u) for u in r[1:]),
+                 (_gmul(f, c) for c in b[1:]))] \
+            + [_gmul(lead, u) for u in r[len(b):]]
+    return q, r
+
+
+def _poly_gcd(a, b):
+    """A gcd of a and b, deg a >= deg b, by the subresultant remainder
+    sequence (Collins 1967), whose divisions are exact over Z[i]."""
+    g = h = (1, 0)
+    while True:
+        delta = len(a) - len(b)
+        r = _pseudo_divmod(a, b)[1]
+        while r and r[0] == (0, 0):
+            r.pop(0)
+        if len(r) <= 1:
+            return b if not r else [(1, 0)]
+        div = g
+        for _ in range(delta):
+            div = _gmul(div, h)
+        a, b = b, [_gdiv(c, div) for c in r]
+        g = a[0]
+        if delta:
+            num, den = g, (1, 0)
+            for _ in range(delta - 1):
+                num, den = _gmul(num, g), _gmul(den, h)
+            h = _gdiv(num, den)
 
 
 def decompose(x, tol=1e-9, mode="auto"):
     """Decompose matrix ``x`` by structure discovery, the only ``mode``:
-    numeric with numpy for a float matrix, symbolic with sympy for an
-    exact one. A float result must reproduce x within
-    ``_residual_limit``; ``from_structure`` builds a decomposition from a
-    known structure and transform."""
+    numeric with numpy for a float matrix, over the Gaussian integers for
+    an exact one, whose eigenvalues must be Gaussian rationals. A float
+    result must reproduce x within ``_residual_limit``; an exact one is
+    exact. ``from_structure`` builds a decomposition from a known
+    structure and transform."""
     if mode != "auto":
         raise DecompositionError(f"unknown mode {mode!r}")
     if x.exact:

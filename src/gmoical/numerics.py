@@ -8,7 +8,8 @@ are plain loops over complex entries. Their exact kernels write a matrix
 as (R + iI) / d, integer numerator rows over the least common denominator
 of its entries: a product takes integer dot products and reduces each
 entry once, and the inverse is fraction-free Gauss-Jordan elimination
-over the Gaussian integers.
+over the Gaussian integers (``gauss_jordan``), which also gives the exact
+decomposition its ranks and nullspaces.
 """
 
 from __future__ import annotations
@@ -410,17 +411,24 @@ def _exact_mat_mul(a, b):
     products per entry and one reduction over d_a * d_b."""
     ar, ai, da = _numerators(a.rows)
     br, bi, db = _numerators(b.rows)
-    cols = list(zip(zip(*br), zip(*bi)))
     den = da * db
-    out = []
+    return Matrix([[QC(Fraction(u, den), Fraction(v, den))
+                    for u, v in zip(x, y)]
+                   for x, y in zip(*gauss_mat_mul(ar, ai, br, bi))],
+                  exact=True)
+
+
+def gauss_mat_mul(ar, ai, br, bi):
+    """The product of the Gaussian-integer matrices ar + i ai and
+    br + i bi, as its integer rows (re, im)."""
+    cols = list(zip(zip(*br), zip(*bi)))
+    re, im = [], []
     for x, y in zip(ar, ai):
-        row = []
-        for u, v in cols:
-            re = sum(map(mul, x, u)) - sum(map(mul, y, v))
-            im = sum(map(mul, x, v)) + sum(map(mul, y, u))
-            row.append(QC(Fraction(re, den), Fraction(im, den)))
-        out.append(row)
-    return Matrix(out, exact=True)
+        re.append([sum(map(mul, x, u)) - sum(map(mul, y, v))
+                   for u, v in cols])
+        im.append([sum(map(mul, x, v)) + sum(map(mul, y, u))
+                   for u, v in cols])
+    return re, im
 
 
 def frobenius_norm(a):
@@ -463,31 +471,53 @@ def inverse(a):
 
 
 def _exact_inverse(a):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) on [M | I] for
-    a = M / d with M over the Gaussian integers, real and imaginary parts
-    in separate integer rows. Step k replaces each row i != k by
-    (p_k row_i - m_ik row_k) / p_{k-1}, where p_k is the k-th pivot; every
-    division is exact. The left half ends as p I and the right half as
-    p M^-1, for the last pivot p, so a^-1 = d (p M^-1) / p."""
+    """The inverse by ``gauss_jordan`` on [M | I] for a = M / d: the left
+    half ends as p I and the right half as p M^-1, for the last pivot p,
+    so a^-1 = d (p M^-1) / p."""
     n = a.dim
     re, im, d = _numerators(a.rows)
     ar = [r + [int(i == j) for j in range(n)] for i, r in enumerate(re)]
     ai = [r + [0] * n for r in im]
+    pivots, (pr, pi) = gauss_jordan(ar, ai, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular (exact)")
+    norm = pr * pr + pi * pi
+    return Matrix([[QC(Fraction(d * (u * pr + v * pi), norm),
+                       Fraction(d * (v * pr - u * pi), norm))
+                    for u, v in zip(xr[n:], xi[n:])]
+                   for xr, xi in zip(ar, ai)], exact=True)
+
+
+def gauss_jordan(ar, ai, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place, of
+    the rows ar + i ai over the Gaussian integers, real and imaginary
+    parts in separate integer rows. Columns 0..ncols-1 are eliminated in
+    turn; a column with no nonzero entry below the pivot rows is skipped.
+    Step k swaps the first row at or below row k with a nonzero entry in
+    the column into row k and replaces each row i != k by
+    (p_k row_i - m_ik row_k) / p_{k-1}, where p_k is the k-th pivot;
+    every division is exact. Returns the pivot columns, the k-th one
+    pivoting row k, and the last pivot p as a pair (re, im); every pivot
+    entry ends equal to p, so the reduced row echelon form is the pivot
+    rows over p."""
+    m = len(ar)
+    pivots = []
     pr, pi = 1, 0               # the previous pivot pr + i pi
-    for k in range(n):
-        piv = next((r for r in range(k, n) if ar[r][k] or ai[r][k]), None)
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, m) if ar[r][c] or ai[r][c]), None)
         if piv is None:
-            raise SingularMatrixError("matrix is singular (exact)")
+            continue
         ar[k], ar[piv] = ar[piv], ar[k]
         ai[k], ai[piv] = ai[piv], ai[k]
         kr, ki = ar[k], ai[k]
-        cr, ci = kr[k], ki[k]
+        cr, ci = kr[c], ki[c]
         norm = pr * pr + pi * pi
-        for i in range(n):
+        for i in range(m):
             if i == k:
                 continue
             xr, xi = ar[i], ai[i]
-            fr, fi = xr[k], xi[k]
+            fr, fi = xr[c], xi[c]
             # (c row_i - f row_k) / p as (...) conj(p) / |p|^2, with the
             # pivot c = cr + i ci and f = fr + i fi
             tr = [cr * u - ci * v - fr * s + fi * t
@@ -497,8 +527,5 @@ def _exact_inverse(a):
             ar[i] = [(u * pr + v * pi) // norm for u, v in zip(tr, ti)]
             ai[i] = [(v * pr - u * pi) // norm for u, v in zip(tr, ti)]
         pr, pi = cr, ci
-    norm = pr * pr + pi * pi
-    return Matrix([[QC(Fraction(d * (u * pr + v * pi), norm),
-                       Fraction(d * (v * pr - u * pi), norm))
-                    for u, v in zip(xr[n:], xi[n:])]
-                   for xr, xi in zip(ar, ai)], exact=True)
+        pivots.append(c)
+    return pivots, (pr, pi)

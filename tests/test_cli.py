@@ -3,6 +3,8 @@ seed determinism."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -68,6 +70,17 @@ class TestDecompose:
         res = runner.invoke(main, ["decompose", m, "--exact"])
         assert res.exit_code == 2
         assert m in res.stderr and "not finite" in res.stderr
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 0], [2, 0], [1, 0], [0, 0]],      # companion of z^2 - 2
+        [[0, 0], [-1, 0], [1, 0], [-1, 0]],    # companion of z^2 + z + 1
+    ])
+    def test_irrational_eigenvalues_exact(self, runner, tmp_path, entries):
+        m = _write(tmp_path, "c.json", {"dim": 2, "entries": entries})
+        res = runner.invoke(main, ["decompose", m, "--exact"])
+        assert res.exit_code == 2
+        assert "requires rational eigenvalues" in res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("mode", [[], ["--exact"]])
     def test_boolean_entry(self, runner, tmp_path, mode):
@@ -417,3 +430,29 @@ class TestDeterminism:
                                      "--matrices", jordan2, "--json"]).output
                 for _ in range(2)]
         assert outs[0] == outs[1]
+
+
+class TestImports:
+    def test_exact_commands_import_no_sympy(self):
+        """Exact decompose, gmoi --patterns, bounds and
+        verify-perturbation, run in a fresh interpreter, never import
+        sympy."""
+        from test_golden import COMMANDS, _resolve
+        argvs = [_resolve(COMMANDS[name]) for name in (
+            "decompose_exact", "gmoi_patterns_exact", "bounds_exact",
+            "perturbation_x1_exact")]
+        script = (
+            "import json, sys\n"
+            "from click.testing import CliRunner\n"
+            "from gmoical.cli import main\n"
+            "codes = [CliRunner().invoke(main, a).exit_code\n"
+            "         for a in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'sympy' in sys.modules]))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script,
+                              json.dumps(argvs)], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert json.loads(out) == [[0, 0, 0, 0], False]

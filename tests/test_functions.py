@@ -272,3 +272,30 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(FunctionError):
             function_from_json({"kind": "nope"})
+
+
+class TestIntegerArguments:
+    """The constructors check their integer arguments themselves, so a
+    library call fails like the JSON field it comes from."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: power_function(2.7), "degree"),
+        (lambda: power_function(True), "degree"),
+        (lambda: multivariate_polynomial(1.0, [(1, (1,))]), "arity"),
+        (lambda: multivariate_polynomial(0, []), "arity"),
+        (lambda: multivariate_polynomial(1, [(1, (-1,))]), "exponent"),
+        (lambda: multivariate_polynomial(1, [(1, (True,))]), "exponent"),
+        (lambda: lift_divided_difference(polynomial([0, 1]), 1.5), "order"),
+        (lambda: lift_divided_difference(polynomial([0, 1]), -1), "order"),
+        (lambda: product_symbol(multivariate_polynomial(2, [(1, (1, 0))]),
+                                True), "zeta"),
+    ])
+    def test_rejected(self, build, field):
+        with pytest.raises(FunctionError, match=f"{field} must be"):
+            build()
+
+    def test_integers_accepted(self):
+        assert power_function(-2).eval(2.0) == pytest.approx(0.25)
+        assert lift_divided_difference(polynomial([0, 1]), 0).arity == 1
+        beta = multivariate_polynomial(2, [(1, (1, 0))])
+        assert product_symbol(beta, 1).arity == 3

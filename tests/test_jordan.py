@@ -147,6 +147,25 @@ class TestErrors:
                            match=f"chain length {length} is not"):
             from_structure([(Fraction(1), [3, length])], v)
 
+    @pytest.mark.parametrize("rows, near", [
+        ([[0, 2], [1, 0]], "1.41421"),      # companion of z^2 - 2
+        ([[0, -1], [1, -1]], "0.866025"),   # companion of z^2 + z + 1
+    ])
+    def test_exact_irrational_eigenvalues(self, rows, near):
+        m = Matrix([[QC(v) for v in r] for r in rows], exact=True)
+        with pytest.raises(DecompositionError,
+                           match=f"requires rational eigenvalues: .*{near}"):
+            decompose(m)
+
+    def test_exact_eigenvalue_beyond_float_precision(self):
+        # mu = 10**17 + 1 for B = 10**17 X is not a float; the rounded
+        # root is refined exactly
+        lam = 1 + Fraction(1, 10 ** 17)
+        m = Matrix([[QC(lam), QC(1)], [QC(0), QC(2)]], exact=True)
+        dec = decompose(m)
+        assert dec.eigenvalues == [QC(lam), QC(2)]
+        assert dec.reconstruct() == m
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_auto_chain_count_guard(self, seed):
         # the rank profile of these matrices yields more chain vectors
