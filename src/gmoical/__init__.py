@@ -8,13 +8,10 @@ from .analysis import (AnalysisError, ContinuityReport, NormBoundReport,
                        continuity_experiment, lipschitz_check, norm_report,
                        operational_cross_term, perturbation_check_gdoi,
                        perturbation_check_general, reverse_triangle_lower)
-from .derivative import (CrossTerm, DerivativeError, DerivativeExpansion,
-                         GmoiTerm, ParameterPattern, build_expansion,
-                         contour_oracle, expansion_oracle, gamma,
-                         nth_derivative)
+from .derivative import DerivativeError, contour_oracle, nth_derivative
 from .engine import (EngineError, GmoiProblem, NilpotentPattern,
-                     binary_selector, compose_check, decompose_by_parameters,
-                     eval_classical_moi, eval_gmoi, pattern_terms)
+                     binary_selector, eval_classical_moi, eval_gmoi,
+                     pattern_terms)
 from .fixtures import (FixtureError, gen_fixture, random_fixture,
                        random_matrix, random_structure)
 from .functions import (FunctionError, MultiFunction, constant,

@@ -108,7 +108,8 @@ _common = {
                           help="exact rational-complex arithmetic"),
     "json": click.option("--json", "as_json", is_flag=True,
                          help="compact machine-readable output"),
-    "budget": click.option("--budget", default=None, type=int,
+    "budget": click.option("--budget", default=None,
+                           type=click.IntRange(min=0),
                            help="term budget override (env GMOI_BUDGET)"),
 }
 
@@ -393,7 +394,7 @@ def selftest():
     rng = random.Random(7)
 
     # constant symbol reduces to the plain argument product
-    _, dec = fixtures.gen_fixture([(Fraction(1), [2]), (Fraction(2), [1])],
+    x, dec = fixtures.gen_fixture([(Fraction(1), [2]), (Fraction(2), [1])],
                                   seed=1, exact=True)
     y1 = fixtures.random_matrix(rng, 3, exact=True)
     y2 = fixtures.random_matrix(rng, 3, exact=True)
@@ -416,13 +417,11 @@ def selftest():
     ddv = functions.divided_difference(poly, [QC(2), QC(2), QC(2), QC(2)])
     checks.append(("confluent divided difference", ddv == QC(1)))
 
-    # expansion seed coefficient
-    exp2 = derivative.build_expansion(2)
-    lead = [t for t in exp2.terms
-            if isinstance(t, derivative.GmoiTerm)
-            and t.pattern.slots == ("X", "X", "X")]
-    checks.append(("expansion leading coefficient",
-                   len(lead) == 1 and lead[0].coeff == 2))
+    # first derivative of z^2 along Y, exact on the Jordan X
+    square = functions.polynomial([0, 0, 1])
+    checks.append(("derivative of a square",
+                   derivative.nth_derivative(square, dec, y1, 1)
+                   == x @ y1 + y1 @ x))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

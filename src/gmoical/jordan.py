@@ -3,13 +3,14 @@
 A decomposition is a similarity X = V J V^-1: the transform V, its
 inverse, and per Jordan chain the eigenvalue, the first column in V and
 the chain length. Every spectral matrix is V E V^-1 for a 0/1 matrix E
-(``shift_factor``): a chain's (non-orthogonal) projector P selects its
-columns, its nilpotent part N shifts them, and both are built on first
-access. The resolution of identity sum(P) = I and X = sum(lambda P + N)
-hold by construction; ``validate`` measures the residuals.
-``components`` groups the chains per distinct eigenvalue, by exact
-equality of the stored eigenvalue, as column index pairs of the shift
-powers, which is what the slot sums of :mod:`spectral_map` use.
+(``shift_factor``), whose ones are those of a power S^q of the chain's
+shift on its columns (``SpectralBlock.shift_pairs``): the chain's
+(non-orthogonal) projector P is q = 0, its nilpotent part N is q = 1 and
+N^q is q, each built on first access. The resolution of identity
+sum(P) = I and X = sum(lambda P + N) hold by construction; ``validate``
+measures the residuals. ``components`` groups the same pairs per distinct
+eigenvalue, by exact equality of the stored eigenvalue, which is what the
+slot sums of :mod:`spectral_map` use.
 
 ``decompose`` finds the structure of a float matrix with numpy, and that
 of an exact one over the Gaussian integers: the characteristic polynomial
@@ -63,30 +64,32 @@ class SpectralBlock:
     transform: Matrix = field(compare=False, repr=False)
     transform_inv: Matrix = field(compare=False, repr=False)
 
+    def shift_pairs(self, q):
+        """The ones (c, c + q) of S**q on the chain's columns, S the
+        chain's shift: S**0 selects the columns."""
+        return [(c, c + q)
+                for c in range(self.start, self.start + self.order - q)]
+
     @functools.cached_property
     def projector(self):
         """P = V E V^-1, E selecting the chain's columns."""
-        cols = range(self.start, self.start + self.order)
         return shift_factor(self.transform, self.transform_inv,
-                            [(c, c) for c in cols])
+                            self.shift_pairs(0))
 
     @functools.cached_property
     def nilpotent(self):
         """N = V S V^-1, S the shift on the chain's columns (zero for a
         chain of length 1)."""
-        cols = range(self.start, self.start + self.order - 1)
         return shift_factor(self.transform, self.transform_inv,
-                            [(c, c + 1) for c in cols])
+                            self.shift_pairs(1))
 
     @functools.cached_property
     def powers(self):
-        """(N, N**2, ..., N**(order-1)), each power the previous one
-        times N."""
-        out = []
-        for _ in range(1, self.order):
-            out.append(mat_mul(out[-1], self.nilpotent) if out
-                       else self.nilpotent)
-        return tuple(out)
+        """(N, N**2, ..., N**(order-1)), N**q = V S**q V^-1."""
+        return tuple(self.nilpotent if q == 1 else
+                     shift_factor(self.transform, self.transform_inv,
+                                  self.shift_pairs(q))
+                     for q in range(1, self.order))
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,7 @@ class JordanDecomposition:
             groups.setdefault(b.eigenvalue, []).append(b)
         return tuple(
             SpectralComponent(lam, tuple(chains), tuple(
-                tuple((b.start + k, b.start + k + q) for b in chains
-                      for k in range(b.order - q))
+                tuple(pair for b in chains for pair in b.shift_pairs(q))
                 for q in range(max(b.order for b in chains))))
             for lam, chains in groups.items())
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from .numerics import QC, Matrix, mat_mul, scalar
@@ -48,12 +49,23 @@ class BudgetExceededError(RuntimeError):
 
 
 def effective_budget(budget=None):
-    if budget is not None:
-        return budget
-    env = os.environ.get("GMOI_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    """``budget``, else the environment's GMOI_BUDGET, else
+    ``DEFAULT_BUDGET``; ValueError, naming the source, for a negative
+    budget or a GMOI_BUDGET that is not an integer."""
+    source = "term budget"
+    if budget is None:
+        env = os.environ.get("GMOI_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        source = "GMOI_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(
+                f"GMOI_BUDGET={env!r} is not an integer") from None
+    if budget < 0:
+        raise ValueError(f"{source} {budget} is negative")
+    return budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +137,15 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     share those slots' partial sums, and each sum receives its terms in
     the order of a walk over its own restricted options, so it is the
     same bit for bit.
+
+    The contraction recurses once per slot, so more than
+    ``sys.getrecursionlimit() // 4`` slots raise ValueError.
     """
     r = len(decs)
+    depth = sys.getrecursionlimit() // 4
+    if r > depth:
+        raise ValueError(f"slot sum of {r} slots exceeds the limit of "
+                         f"{depth} slots (sys.getrecursionlimit() // 4)")
     dim, exact = decs[0].dim, decs[0].exact
     wanted = (("full",) * r,) if keys is None else tuple(
         dict.fromkeys(map(tuple, keys)))

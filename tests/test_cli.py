@@ -169,6 +169,35 @@ class TestFuncmat:
                                    "--matrices", jordan2, "--budget", "0"])
         assert res.exit_code == 3
 
+    def test_negative_budget_exit_2(self, runner, jordan2, square_fn):
+        argv = ["funcmat", "--function", square_fn, "--matrices", jordan2]
+        res = runner.invoke(main, argv + ["--budget", "-1"])
+        assert res.exit_code == 2
+        assert "--budget" in res.stderr
+        res = runner.invoke(main, argv, env={"GMOI_BUDGET": "-3"})
+        assert res.exit_code == 2
+        assert "error: GMOI_BUDGET -3 is negative" in res.stderr
+
+    def test_budget_env_not_an_integer_exit_2(self, runner, jordan2,
+                                              square_fn):
+        res = runner.invoke(main, ["funcmat", "--function", square_fn,
+                                   "--matrices", jordan2],
+                            env={"GMOI_BUDGET": "abc"})
+        assert res.exit_code == 2
+        assert "error: GMOI_BUDGET='abc' is not an integer" in res.stderr
+
+    def test_too_many_slots_exit_2(self, runner, tmp_path):
+        # 600 slots would overflow the slot sum's recursion
+        m = _write(tmp_path, "m.json",
+                   {"dim": 2, "entries": [[2, 0], [0, 0], [0, 0], [2, 0]]})
+        f = _write(tmp_path, "f.json", {
+            "kind": "polynomial-multi", "arity": 600,
+            "terms": [{"coeff": 1, "exponents": [1] * 600}]})
+        res = runner.invoke(main, ["funcmat", "--function", f,
+                                   "--matrices", ",".join([m] * 600)])
+        assert res.exit_code == 2
+        assert "600 slots exceeds the limit of 250 slots" in res.stderr
+
 
 class TestGmoi:
     def test_constant_symbol(self, runner, tmp_path, jordan2):
@@ -308,6 +337,30 @@ class TestDerivative:
         assert payload["result"]["entries"] == [
             [[0.0, 0.0], [3.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]]
         assert payload["oracleResidual"] <= 1e-12 * 18 ** 0.5
+
+    def test_order_9_exact(self, runner, tmp_path):
+        # no order cap: d^9 (z^10) along Y at X = Y = I is 10! I
+        i2 = _write(tmp_path, "i.json",
+                    {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]})
+        f = _write(tmp_path, "f.json",
+                   {"kind": "polynomial", "coeffs": [0] * 10 + [1]})
+        res = runner.invoke(main, ["derivative", "--function", f, "--x", i2,
+                                   "--y", i2, "--order", "9", "--exact",
+                                   "--json"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["result"]["entries"] == [
+            [[3628800, 0], [0, 0]], [[0, 0], [3628800, 0]]]
+
+    def test_order_past_the_slot_limit_exit_2(self, runner, tmp_path):
+        x = _write(tmp_path, "x.json",
+                   {"dim": 2, "entries": [[2, 0], [0, 0], [0, 0], [2, 0]]})
+        f = _write(tmp_path, "f.json",
+                   {"kind": "polynomial", "coeffs": [0, 1]})
+        res = runner.invoke(main, ["derivative", "--function", f, "--x", x,
+                                   "--y", x, "--order", "600"])
+        assert res.exit_code == 2
+        assert "601 slots exceeds the limit of 250 slots" in res.stderr
+        assert "Traceback" not in res.output
 
     @staticmethod
     def _verify_is_relative_1e12(res):

@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from gmoical import (DerivativeError, GmoiTerm, Matrix, ParameterPattern,
-                     build_expansion, contour_oracle, expansion_oracle,
-                     exp_function, frobenius_norm, gamma, gen_fixture,
-                     inverse, mat_mul, nth_derivative, polynomial,
-                     power_function, rational_function)
+from gmoical import (DerivativeError, Matrix, contour_oracle, exp_function,
+                     frobenius_norm, gen_fixture, inverse,
+                     lift_divided_difference, mat_mul, nth_derivative,
+                     polynomial, power_function, rational_function)
 from gmoical.analysis import StructureInstabilityError
 from conftest import draw_fixture, float_matrix, rational_matrix
-from expansion_reference import expansion_derivative
+from expansion_reference import (GmoiTerm, ParameterPattern, build_expansion,
+                                 expansion_derivative, expansion_oracle,
+                                 gamma)
 
 X, XN, XT, XTN = "X", "X_N", "X~", "X~_N"
 
@@ -110,8 +111,6 @@ class TestExpansion:
         f = polynomial([0.0, 1.0])
         with pytest.raises(DerivativeError, match="order must be >= 1"):
             nth_derivative(f, x, x, 0)
-        with pytest.raises(DerivativeError, match="exceeds the supported"):
-            nth_derivative(f, x, x, 9)
 
     def test_pattern_validation(self):
         with pytest.raises(DerivativeError):
@@ -203,6 +202,23 @@ class TestNthDerivative:
             want = expansion_oracle(f, x, y, n)
             got = nth_derivative(f, x, y, n)
             assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_high_order_on_jordan_block(self, n):
+        # the order has no cap: a 2x2 Jordan block and a degree-12
+        # polynomial, exact
+        x = Matrix([[Fraction(1, 2), 1], [0, Fraction(1, 2)]], exact=True)
+        y = Matrix([[1, Fraction(-2, 3)], [Fraction(3, 4), 2]], exact=True)
+        f = polynomial([Fraction((-1) ** k * (k + 1), k + 2)
+                        for k in range(13)])
+        assert nth_derivative(f, x, y, n) == expansion_oracle(f, x, y, n)
+
+    def test_order_past_the_slot_limit(self):
+        # order 600 is 601 slots; the slot sum's recursion would overflow
+        x = Matrix.identity(2, False).scale(2)
+        with pytest.raises(ValueError, match="601 slots exceeds the limit "
+                                             "of 250 slots"):
+            nth_derivative(polynomial([0.0, 1.0]), x, x, 600)
 
     def test_structure_instability_detected(self):
         # a generic direction splits the Jordan block: the expansion's
@@ -347,6 +363,17 @@ class TestOracles:
         for n in (1, 2):
             want = nth_derivative(f, x, y, n)
             got = contour_oracle(f, x, y, n)
+            assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    def test_order_0_lift_keeps_the_poles(self):
+        # 1/(z - 5/2) lifted to order 0 is the same function: its pole
+        # must bound the circle as the unlifted function's does
+        x = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 1]], exact=False)
+        y = Matrix([[1, 2, 0], [0, 1, -1], [3, 0, 1]], exact=False)
+        f = rational_function([1.0], [-2.5, 1.0])
+        for n in (1, 2):
+            want = nth_derivative(f, x, y, n)
+            got = contour_oracle(lift_divided_difference(f, 0), x, y, n)
             assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
 
     def test_pole_on_an_eigenvalue(self):

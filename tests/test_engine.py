@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from gmoical import (EngineError, GmoiProblem, Matrix, binary_selector,
-                     compose_check, decompose, decompose_by_parameters,
-                     eval_classical_moi, eval_gmoi, frobenius_norm,
-                     gen_fixture, lift_divided_difference, mat_mul,
-                     multivariate_polynomial, pattern_terms, polynomial)
+                     decompose, eval_classical_moi, eval_gmoi,
+                     frobenius_norm, gen_fixture, lift_divided_difference,
+                     mat_mul, multivariate_polynomial, pattern_terms,
+                     polynomial)
 from conftest import (draw_fixture, float_matrix, ones_beta, rational_matrix,
                       unit_beta)
+from engine_reference import compose_check, decompose_by_parameters
 
 
 def _hermitian_dec(rng, dim):

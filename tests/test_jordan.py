@@ -204,17 +204,18 @@ def _dense_chain_matrices(dec):
     shift of the chain's columns built as dense matrices, the columns
     found by accumulating the chain lengths in block order."""
     n = dec.dim
+    zero, one = (QC(0), QC(1)) if dec.exact else (0j, 1 + 0j)
     out = []
     start = 0
     for b in dec.blocks:
-        sel = [[QC(0)] * n for _ in range(n)]
-        shift = [[QC(0)] * n for _ in range(n)]
+        sel = [[zero] * n for _ in range(n)]
+        shift = [[zero] * n for _ in range(n)]
         for c in range(start, start + b.order):
-            sel[c][c] = QC(1)
+            sel[c][c] = one
             if c + 1 < start + b.order:
-                shift[c][c + 1] = QC(1)
+                shift[c][c + 1] = one
         out.append(tuple(
-            mat_mul(mat_mul(dec.transform, Matrix(e, exact=True)),
+            mat_mul(mat_mul(dec.transform, Matrix(e, exact=dec.exact)),
                     dec.transform_inv) for e in (sel, shift)))
         start += b.order
     return out
@@ -277,3 +278,21 @@ class TestChainMatrices:
         for b in dec.blocks:
             counts[b.eigenvalue] = counts.get(b.eigenvalue, 0) + 1
             assert b.block_index == counts[b.eigenvalue]
+
+    @pytest.mark.parametrize("case", range(len(MULTI_CHAIN)))
+    def test_matches_dense_construction_float(self, case):
+        # N**q is V S**q V^-1, not a product of N's: equal up to rounding
+        structure, _, sig = MULTI_CHAIN[case]
+        _, dec = gen_fixture([(complex(lam), lengths)
+                              for lam, lengths in structure],
+                             seed=20 + case, exact=False)
+        assert dec.signature() == sig
+        for b, (p, n) in zip(dec.blocks, _dense_chain_matrices(dec)):
+            assert b.projector == p
+            assert b.nilpotent == n
+            want = n
+            for got in b.powers:
+                assert frobenius_norm(got - want) <= \
+                    1e-13 * frobenius_norm(want)
+                want = mat_mul(want, n)
+            assert len(b.powers) == b.order - 1

@@ -147,6 +147,45 @@ class TestBudget:
         assert effective_budget(None) == 123
         assert effective_budget(7) == 7
 
+    def test_negative_budget(self, monkeypatch):
+        monkeypatch.delenv("GMOI_BUDGET", raising=False)
+        assert effective_budget(0) == 0
+        with pytest.raises(ValueError, match="term budget -1 is negative"):
+            effective_budget(-1)
+        monkeypatch.setenv("GMOI_BUDGET", "-3")
+        with pytest.raises(ValueError, match="GMOI_BUDGET -3 is negative"):
+            effective_budget(None)
+
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("GMOI_BUDGET", "abc")
+        with pytest.raises(ValueError,
+                           match="GMOI_BUDGET='abc' is not an integer"):
+            effective_budget(None)
+
+
+class TestSlotLimit:
+    """The contraction recurses once per slot: past a quarter of the
+    recursion limit a slot sum raises ValueError instead of overflowing
+    the stack."""
+
+    @staticmethod
+    def _problem(slots):
+        dec = decompose(Matrix.identity(2, False).scale(2))
+        return (multivariate_polynomial(slots, [(1.0, (1,) * slots)]),
+                [dec] * slots)
+
+    def test_at_the_limit(self):
+        f, decs = self._problem(250)
+        got = eval_multivariate(f, decs)
+        assert frobenius_norm(got - Matrix.identity(2, False).scale(
+            2.0 ** 250)) <= 1e-13 * 2.0 ** 250
+
+    def test_past_the_limit(self):
+        f, decs = self._problem(600)
+        with pytest.raises(ValueError, match="600 slots exceeds the limit "
+                                             "of 250 slots"):
+            eval_multivariate(f, decs)
+
 
 # Several chains per eigenvalue, of different lengths and of equal
 # lengths above 1, so that one per-eigenvalue option covers several chains
