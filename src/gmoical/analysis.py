@@ -5,7 +5,6 @@ and the continuity experiment for generalized multiple operator integrals.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .engine import (GmoiProblem, NilpotentPattern, eval_gmoi,
@@ -53,8 +52,9 @@ def _pattern_upper(problem, pattern, peak, nil_norms):
     """(bound, scalar) for one nilpotent pattern: bound includes the
     argument-norm factors, scalar omits them (used for the Lipschitz
     coefficient). The implicit trailing identity argument has weight 1.
-    ``peak(orders)`` is max |partial of beta| over the eigenvalue grid;
-    ``nil_norms[j]`` lists (q, |N**q|_F) over the chains of parameter j."""
+    ``peak(orders)`` is max |partial of beta| / prod(orders!) over the
+    eigenvalue grid; ``nil_norms[j]`` lists (q, |N**q|_F) over the chains
+    of parameter j."""
     zeta = problem.zeta
     r = zeta + 1
     bits = pattern.bits
@@ -65,13 +65,11 @@ def _pattern_upper(problem, pattern, peak, nil_norms):
     scalar_total = 0.0
     for combo in itertools.product(*sel_opts):
         orders = [0] * r
-        denom = 1
         nil_factor = 1.0
         for j, (q, nnorm) in zip(selected, combo):
             orders[j] = q
-            denom *= math.factorial(q)
             nil_factor *= nnorm
-        scalar_total += (peak(tuple(orders)) / denom) * nil_factor
+        scalar_total += peak(tuple(orders)) * nil_factor
     w_sel = 1.0
     for j in selected:
         w_sel *= weights[j]
@@ -83,26 +81,33 @@ def _pattern_upper(problem, pattern, peak, nil_norms):
 
 
 def _pattern_uppers(problem):
-    """``_pattern_upper`` of each nilpotent pattern, in pattern order; the
-    grid peak of each order tuple and the nilpotent-power norms of each
-    parameter are computed once for all of them."""
+    """``_pattern_upper`` of each nilpotent pattern, in pattern order. The
+    grid peak of an order tuple is the largest |coefficient| over the keys
+    of the grid points in the symbol's coefficient table, computed once
+    for all patterns, and so are the nilpotent-power norms of each
+    parameter."""
     r = problem.zeta + 1
+    nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
+                  for q, npow in enumerate(b.powers, 1)]
+                 for d in problem.params]
     grids = [_grid(d) for d in problem.params]
+    tops = [max((q for q, _ in n), default=0) for n in nil_norms]
+    parts, coeffs = problem.beta.coefficient_table(
+        [[(z, q) for q in range(top + 1) for z in grid]
+         for grid, top in zip(grids, tops)])
+    # grid_parts[j][q]: the keys of slot j's grid at order q
+    grid_parts = [[p[q * len(g):(q + 1) * len(g)] for q in range(top + 1)]
+                  for p, g, top in zip(parts, grids, tops)]
     peaks = {}
 
     def peak(orders):
         if orders not in peaks:
-            top = 0.0
-            for lams in itertools.product(*grids):
-                v = abs(problem.beta.partial(orders, lams))
-                if v > top:
-                    top = v
-            peaks[orders] = top
+            keys = [0]
+            for slot, q in zip(grid_parts, orders):
+                keys = [k + p for k in keys for p in slot[q]]
+            peaks[orders] = max(map(abs, map(coeffs.__getitem__, keys)))
         return peaks[orders]
 
-    nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
-                  for q, npow in enumerate(b.powers, 1)]
-                 for d in problem.params]
     return [_pattern_upper(problem, NilpotentPattern(i, r), peak, nil_norms)
             for i in range(2 ** r)]
 

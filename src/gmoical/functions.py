@@ -5,17 +5,23 @@ functions to multivariate symbols.
 Builtins evaluate on either Python complex or exact rational complex (QC)
 arguments; the exponential is float-only.
 
-A partial of the lift f^[k] is one confluent divided difference of f, and
-neighbouring terms of a spectral sum share most of its sub-differences.
-``MultiFunction.tabulated()`` gives a copy of a symbol whose divided
-differences all go through one table keyed by node tuple, so each
-sub-difference is computed once; evaluators take that copy once per call
-and drop it on return, so no table outlives the call that made it.
+A spectral sum weights each term by a Taylor coefficient of the symbol,
+partial(orders, nodes) / prod(orders!), and ``coefficient_table`` gives
+them as a table with integer keys that the walk adds up slot by slot. For
+the lift f^[k] the coefficient is one confluent divided difference of f,
+f[node j repeated q_j + 1 times], so it depends only on the count vector
+of the distinct nodes, and neighbouring terms share most of its
+sub-differences: the table is keyed by count vectors and fills an entry
+from two others (``_TaylorTable``). ``MultiFunction.tabulated()`` gives a
+copy of a symbol whose lifts keep one such table for all their calls, so
+each sub-difference is computed once; evaluators take that copy once per
+call and drop it on return, so no table outlives the call that made it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -37,23 +43,41 @@ class MultiFunction:
     ``partial(orders, args)`` returns the mixed partial with the given
     per-argument derivative orders, evaluated at ``args``.
 
-    ``tabulate``, when given, builds the copy returned by ``tabulated()``.
+    ``tabulate``, when given, builds the copy returned by ``tabulated()``;
+    ``coefficients``, when given, replaces the per-slot table of
+    ``coefficient_table``.
     """
 
     def __init__(self, arity, eval_fn, partial_fn=None, kind="custom",
-                 meta=None, tabulate=None):
+                 meta=None, tabulate=None, coefficients=None):
         self.arity = arity
         self._eval = eval_fn
         self._partial = partial_fn
         self.kind = kind
         self.meta = meta or {}
         self._tabulate = tabulate
+        self._coefficients = coefficients
 
     def tabulated(self):
         """A copy whose divided differences share one fresh table, with
         the same values bit for bit; ``self`` when the partials are closed
         form or the table is already there."""
         return self if self._tabulate is None else self._tabulate()
+
+    def coefficient_table(self, options):
+        """(parts, table) for the slot options ``options``, one list of
+        (node, order) pairs per argument: parts[j][i] is the key of option
+        i of slot j, a term's key is the sum of the keys of its options,
+        and table[key] is its Taylor coefficient
+        partial(orders, nodes) / prod(orders!), filled on first use. A
+        divided-difference lift keys by count vectors over the distinct
+        nodes (``_TaylorTable``), and its tabulated copy keeps one table
+        for all calls; other symbols key by option index, one table per
+        call."""
+        if self._coefficients is not None:
+            return self._coefficients(options)
+        table = _SlotTable(self, options)
+        return table.parts(), table
 
     def eval(self, *args):
         if len(args) == 1 and isinstance(args[0], (list, tuple)):
@@ -328,7 +352,7 @@ def _nodes_equal(a, b):
 def _near_equal_adjacent(nodes):
     """Sorted ``nodes`` reordered so that each class of near-equal nodes
     (linked by ``_nodes_equal``) is contiguous: classes in the order of
-    their first node, each in sorted order. The recursion treats a run as
+    their first node, each in sorted order. The recurrence treats a run as
     confluent when its end nodes are near-equal, so a far node sorted
     between them would be dropped. Sorting already keeps the classes
     contiguous for exact and for real nodes; the order is only changed
@@ -354,43 +378,208 @@ def _near_equal_adjacent(nodes):
     return [z for i in order for z in runs[i]]
 
 
-def divided_difference(f, nodes, table=None):
+def divided_difference(f, nodes):
     """Confluent divided difference f[z_0, ..., z_k] of a univariate f.
 
     Repeated nodes (exact equality in exact mode, relative distance at
     most ``NODE_TOL`` in float mode) use the derivative rule
     f[z ... z] = f^(s)(z)/s!.
 
-    Every sub-difference is stored in ``table`` under its node tuple; a
-    dict passed in is shared with later calls on the same f, which
-    then reuse what they have in common. Without one the table lives for
-    this call only. The value is the same either way.
+    The nodes are sorted by ``scalar_key``, with near-equal classes kept
+    together (``_near_equal_adjacent``), and the recurrence
+    f[z_i..z_j] = (f[z_i+1..z_j] - f[z_i..z_j-1]) / (z_j - z_i) runs over
+    that order as Newton's triangle, one level at a time: k + 1 values
+    are kept, so no recursion is involved. In exact mode a level of
+    zeros above every confluent run ends the triangle, since all later
+    levels are zero too: a polynomial of degree d costs O(k d).
     """
     if f.arity != 1:
         raise FunctionError("divided_difference needs a univariate function")
-    k = len(nodes) - 1
-    if k < 0:
+    if not nodes:
         raise FunctionError("need at least one node")
-    nodes = _near_equal_adjacent(sorted(nodes, key=scalar_key))
-    return _dd(f, tuple(nodes), {} if table is None else table)
+    z = _near_equal_adjacent(sorted(nodes, key=scalar_key))
+    n = len(z)
+    # the highest level of a confluent range, in exact mode
+    top = n if not _is_exact(z[0]) else max(
+        len(list(run)) for _, run in itertools.groupby(z)) - 1
+    leaves = {}                 # (node, s) -> f^(s)(node)/s!
+
+    def confluent(node, s):
+        key = (node, s)
+        if key not in leaves:
+            leaves[key] = f.partial((s,), (node,)) / math.factorial(s)
+        return leaves[key]
+
+    if _nodes_equal(z[0], z[-1]):
+        return confluent(z[0], n - 1)
+    d = [confluent(x, 0) for x in z]    # d[i] = f[z_i-s..z_i] at level s
+    for s in range(1, n):
+        for i in range(n - 1, s - 1, -1):
+            first, last = z[i - s], z[i]
+            if _nodes_equal(first, last):
+                d[i] = confluent(first, s)
+            else:
+                d[i] = (d[i] - d[i - 1]) / (last - first)
+        if s >= top and not any(d[s:]):
+            break
+    return d[-1]
 
 
-_MISSING = object()
+class _TaylorTable(dict):
+    """The Taylor coefficients of a divided-difference lift f^[k], keyed
+    by count vectors over the table's distinct nodes.
 
+    The coefficient of the options (z_j, q_j) is
+    partial(orders, z) / prod(q_j!) = f[z_j repeated q_j + 1 times], so it
+    depends only on how often each distinct node occurs. The nodes are
+    numbered in ``scalar_key`` order, and a key holds, in fields of
+    ``width`` bits, the total count in field 0 and the count of node i in
+    field i + 1. The key of an option is (q + 1) * ``units[i]``, so a
+    term's key is the sum of its options' keys.
 
-def _dd(f, nodes, table):
-    val = table.get(nodes, _MISSING)
-    if val is not _MISSING:
+    A missing key is filled by the recurrence of ``divided_difference``
+    on count vectors: drop the lowest node and drop the highest, or
+    f^(s)(lowest)/s! when the two are near-equal. For the same nodes these
+    are the same operations as ``divided_difference``'s, so the values are
+    the same bit for bit. One case differs: ``divided_difference`` keeps a
+    class of near-equal nodes together, and which nodes form a class
+    depends on the nodes of the term. So a term whose near-equal pair
+    spans another of its nodes in ``scalar_key`` order takes
+    ``divided_difference`` on its own nodes. The near-equal pairs are
+    found when the table is numbered (exact nodes have none). The fill
+    keeps its own stack and does not recurse.
+    """
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+        self.nodes = ()         # distinct nodes, in scalar_key order
+        self.index = {}         # node -> its number
+        self.width = 1
+        self.units = ()
+        self.near = frozenset()     # i * len(nodes) + j of near-equal i < j
+        self.spans = ()         # (field of i, field of j, fields between)
+
+    def parts(self, options):
+        """The key of each option of ``options``, one list of (node,
+        order) pairs per argument. Nodes the table has not seen, a wider
+        count field or nodes of the other arithmetic renumber it, which
+        empties it."""
+        first = next(z for opts in options for z, _ in opts)
+        exact = _is_exact(first)
+        known = self.nodes if self.nodes and \
+            _is_exact(self.nodes[0]) == exact else ()
+        index = self.index if known else {}
+        new = {z for opts in options for z, _ in opts if z not in index}
+        width = sum(max(q for _, q in opts) + 1
+                    for opts in options if opts).bit_length()
+        if new or not known or width > self.width:
+            self._number([*known, *new], max(width, self.width))
+        index, units = self.index, self.units
+        return [[(q + 1) * units[index[z]] for z, q in opts]
+                for opts in options]
+
+    def _number(self, nodes, width):
+        nodes = sorted(nodes, key=scalar_key)
+        field = (1 << width) - 1
+        self.nodes = tuple(nodes)
+        self.index = {z: i for i, z in enumerate(nodes)}
+        self.width = width
+        self.units = tuple((1 << width * (i + 1)) + 1
+                           for i in range(len(nodes)))
+        n = len(nodes)
+        fields = [field << width * (i + 1) for i in range(n)]
+        near, spans = set(), []
+        if not _is_exact(nodes[0]):
+            # near-equal nodes are at most 2 NODE_TOL max(1, |a|) apart in
+            # real part, and the order sorts by real part first
+            for i, a in enumerate(nodes):
+                reach = a.real + 2 * NODE_TOL * max(1.0, abs(a))
+                for j in range(i + 1, n):
+                    if nodes[j].real > reach:
+                        break
+                    if _nodes_equal(a, nodes[j]):
+                        near.add(i * n + j)
+                        if j > i + 1:
+                            spans.append((fields[i], fields[j],
+                                          sum(fields[i + 1:j])))
+        self.near = frozenset(near)
+        self.spans = tuple(spans)
+        self.clear()
+
+    def _spanned(self, key):
+        """Whether the term of ``key`` holds a near-equal pair with
+        another of its nodes between them."""
+        return any(key & a and key & b and key & between
+                   for a, b, between in self.spans)
+
+    def __missing__(self, key):
+        f, nodes, units, w = self.f, self.nodes, self.units, self.width
+        near, n, field = self.near, len(self.nodes), (1 << w) - 1
+        get = self.get
+        stack = [key]
+        while stack:
+            k = stack[-1]
+            counts = k >> w
+            low = ((counts & -counts).bit_length() - 1) // w
+            high = (counts.bit_length() - 1) // w
+            first, last = nodes[low], nodes[high]
+            if self.spans and self._spanned(k):
+                val = divided_difference(f, [
+                    z for i, z in enumerate(nodes[low:high + 1], low)
+                    for _ in range(counts >> w * i & field)])
+            elif low == high or low * n + high in near:
+                s = (k & field) - 1
+                val = f.partial((s,), (first,)) / math.factorial(s)
+            else:
+                upper, lower = k - units[low], k - units[high]
+                a, b = get(upper), get(lower)
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(lower)
+                    if a is None:
+                        stack.append(upper)
+                    continue
+                val = (a - b) / (last - first)
+            self[k] = val
+            stack.pop()
         return val
-    first, last = nodes[0], nodes[-1]
-    if _nodes_equal(first, last):
-        s = len(nodes) - 1
-        val = f.partial((s,), (first,)) / math.factorial(s)
-    else:
-        val = ((_dd(f, nodes[1:], table) - _dd(f, nodes[:-1], table))
-               / (last - first))
-    table[nodes] = val
-    return val
+
+
+class _SlotTable(dict):
+    """The Taylor coefficients of a symbol whose partials are not divided
+    differences, for the options of one call: option i of slot j has the
+    key i * prod(len(options[l]) for l < j), and a missing key is filled
+    with partial(orders, nodes) / prod(orders!)."""
+
+    def __init__(self, symbol, options):
+        super().__init__()
+        self.symbol = symbol
+        self.options = options
+
+    def parts(self):
+        parts, stride = [], 1
+        for opts in self.options:
+            parts.append([i * stride for i in range(len(opts))])
+            stride *= len(opts)
+        return parts
+
+    def __missing__(self, key):
+        nodes, orders, rest = [], [], key
+        for opts in self.options:
+            rest, i = divmod(rest, len(opts))
+            nodes.append(opts[i][0])
+            orders.append(opts[i][1])
+        coeff = self.symbol.partial(orders, nodes)
+        if coeff:
+            denom = 1
+            for q in orders:
+                denom *= math.factorial(q)
+            if denom != 1:
+                coeff = coeff / denom
+            coeff = scalar(coeff, _is_exact(nodes[0]))
+        self[key] = coeff
+        return coeff
 
 
 def lift_divided_difference(f, k):
@@ -405,27 +594,40 @@ def lift_divided_difference(f, k):
 
 
 def _lift(f, k, table):
-    """The lift; its divided differences share ``table`` when it is a
-    dict, and each call has its own when it is None."""
+    """The lift; its values and coefficients come from ``table``, a
+    ``_TaylorTable`` shared by every call, or without one from
+    ``divided_difference`` and a table per ``coefficient_table`` call."""
+
+    def value(orders, args):
+        if table is None:
+            expanded = []
+            for q, z in zip(orders, args):
+                expanded.extend([z] * (q + 1))
+            return divided_difference(f, expanded)
+        return table[sum(p for p, in table.parts(
+            [[(z, q)] for z, q in zip(args, orders)]))]
 
     def ev(args):
-        return divided_difference(f, args, table=table)
+        return value((0,) * len(args), args)
 
     def pt(orders, args):
-        expanded = []
-        for q, z in zip(orders, args):
-            expanded.extend([z] * (q + 1))
-        val = divided_difference(f, expanded, table=table)
+        val = value(orders, args)
         for q in orders:
             val = val * math.factorial(q)
         return val
 
+    def coefficients(options):
+        tab = _TaylorTable(f) if table is None else table
+        return tab.parts(options), tab
+
     def tabulate():
-        return _lift(f.tabulated(), k, {})
+        base = f.tabulated()
+        return _lift(base, k, _TaylorTable(base))
 
     return MultiFunction(k + 1, ev, pt, kind="dd-lift",
                          meta={"base": f, "order": k},
-                         tabulate=None if table is not None else tabulate)
+                         tabulate=None if table is not None else tabulate,
+                         coefficients=coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ per-slot choices from Jordan decompositions.
 Each slot independently picks a distinct eigenvalue and either its
 projector P (derivative order 0) or a power N**q of its nilpotent part
 (order q, 1 <= q < longest chain); the term's coefficient is the symbol's
-mixed partial at the chosen eigenvalues divided by prod q_j!. The
-coefficient depends only on (eigenvalue, order), so one option covers all
-chains of an eigenvalue. Restricting a slot's choices to P only or N only
+Taylor coefficient at the chosen eigenvalues, its mixed partial divided by
+prod q_j!, read from the symbol's coefficient table under the sum of the
+options' integer keys. The coefficient depends only on (eigenvalue,
+order), so one option covers all chains of an eigenvalue. Restricting a slot's choices to P only or N only
 realizes every mode-restricted variant used downstream, and one walk
 returns any number of such restrictions at once (the ``keys`` of
 ``eval_slot_sum``), computing the basis changes and coefficients once.
@@ -19,12 +20,11 @@ product of its own, only row and column moves (see ``eval_slot_sum``).
 from __future__ import annotations
 
 import functools
-import math
 import os
 import sys
 from dataclasses import dataclass
 
-from .numerics import QC, Matrix, mat_mul, scalar
+from .numerics import QC, Matrix, mat_mul
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -114,9 +114,10 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     """Sum over all per-slot choice combinations of
     coeff * F_1 A_1 F_2 A_2 ... A_{r-1} F_r where F_j is the chosen factor
     of slot j, an option of ``slot_options(decs[j])``, the A_j are the
-    ``interleave`` matrices (absent when None), and
-    coeff = symbol.partial(orders, eigenvalues) / prod(orders!). The
-    result has the dimension and arithmetic of ``decs[0]``.
+    ``interleave`` matrices (absent when None), and coeff is the Taylor
+    coefficient partial(orders, eigenvalues) / prod(orders!) of
+    ``symbol``. The result has the dimension and arithmetic of
+    ``decs[0]``.
 
     Slot j has the decomposition X_j = V_j J_j V_j^-1, so
     F_j = V_j E_j V_j^-1 and the sum is V_1 [sum coeff E_1 B_1 ... E_r B_r]
@@ -125,8 +126,11 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     the last slot inward: for each choice of the outer options, the first
     slot sums row-shifted copies of B_1; each later slot sums
     column-shifted partial products and multiplies the sum by its B_j.
-    The coefficients come from ``symbol.tabulated()``, so the sum computes
-    each divided difference once.
+    The coefficients come from ``symbol.tabulated().coefficient_table``:
+    each option has an integer key, the walk adds its slots' keys as it
+    descends, and a term's coefficient is one lookup of the sum. For a
+    divided-difference lift the keys are count vectors over the distinct
+    eigenvalues, so the sum computes each divided difference once.
 
     With ``keys``, mode tuples of one "P", "N" or "full" per slot, one
     walk returns {key: sum}, each of the terms whose slot j option is a
@@ -166,7 +170,8 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     if not needed:
         sums = dict.fromkeys(wanted, Matrix.zeros(dim, exact))
         return sums if keys is not None else sums[wanted[0]]
-    symbol = symbol.tabulated()
+    parts, coeffs = symbol.tabulated().coefficient_table(
+        [[(c.eigenvalue, c.order) for c in opts] for opts in option_lists])
     basis = []
     for j in range(r - 1):
         left = decs[j].transform_inv
@@ -176,36 +181,21 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     basis.append(decs[-1].transform_inv)
     first = basis[0].rows
     zero = QC(0) if exact else 0j
-    lams = [None] * r
-    orders = [0] * r
 
-    def coefficient():
-        coeff = symbol.partial(orders, lams)
-        if not coeff:
-            return None
-        denom = 1
-        for q in orders:
-            denom *= math.factorial(q)
-        if denom != 1:
-            coeff = coeff / denom
-        return scalar(coeff, exact)
-
-    def contract(j, plan):
+    def contract(j, plan, key):
         """Per head of ``plan`` (see ``_plan``): the sum over the options
         of slots 1..j of coeff E_1 B_1 ... E_j B_j, as rows, for the
-        options chosen in the later slots; None where every coefficient
-        vanishes."""
+        options chosen in the later slots, whose keys sum to ``key``;
+        None where every coefficient vanishes."""
         heads, kinds = plan
         accs = [None] * len(heads)
-        for choice in option_lists[j]:
+        for choice, part in zip(option_lists[j], parts[j]):
             inner_plan, targets = kinds[choice.order > 0]
             if not targets:
                 continue
-            lams[j] = choice.eigenvalue
-            orders[j] = choice.order
             if j == 0:
-                c = coefficient()
-                if c is None:
+                c = coeffs[key + part]
+                if not c:
                     continue
                 for h, _ in targets:
                     acc = accs[h]
@@ -214,7 +204,7 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
                     for i, k in choice.pairs:
                         acc[i] = [x + c * y for x, y in zip(acc[i], first[k])]
                 continue
-            inner = contract(j - 1, inner_plan)
+            inner = contract(j - 1, inner_plan, key + part)
             for h, ih in targets:
                 if inner[ih] is not None:
                     if accs[h] is None:
@@ -227,9 +217,9 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
                 for acc in accs]
 
     plan = _plan(wanted, r - 1)
-    totals = contract(r - 1, plan)
+    totals = contract(r - 1, plan, 0)
     # contract holds itself through its closure cell; clearing the cell
-    # frees the tabulated symbol's table now, not at a later full garbage
+    # frees the coefficient table now, not at a later full garbage
     # collection, which long runs of slot sums reach late
     del contract
     sums = {k: Matrix.zeros(dim, exact) if rows is None

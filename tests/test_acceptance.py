@@ -7,8 +7,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from gmoical import (GmoiProblem, Matrix, contour_oracle, decompose,
                      divided_difference, eval_classical_moi, eval_gmoi,
                      eval_multivariate, eval_univariate, frobenius_norm,
@@ -16,8 +14,8 @@ from gmoical import (GmoiProblem, Matrix, contour_oracle, decompose,
                      lift_divided_difference, lipschitz_check, mat_mul,
                      multivariate_polynomial, norm_report, nth_derivative,
                      pattern_terms, perturbation_check_gdoi,
-                     perturbation_check_general, polynomial, random_matrix,
-                     random_structure, continuity_experiment)
+                     perturbation_check_general, polynomial,
+                     continuity_experiment)
 from conftest import (bound_domain_dec, draw_fixture, float_matrix,
                       hermitian_dec, horner, ones_beta, rational_matrix,
                       unit_beta)

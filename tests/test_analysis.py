@@ -11,12 +11,14 @@ from gmoical import (GmoiProblem, StructureInstabilityError,
                      frobenius_norm, gen_fixture, lift_divided_difference,
                      lipschitz_check, norm_report, operational_cross_term,
                      perturbation_check_gdoi, perturbation_check_general,
-                     polynomial, reverse_triangle_lower)
+                     multivariate_polynomial, polynomial, random_matrix,
+                     reverse_triangle_lower)
 from gmoical import Matrix
 from gmoical.analysis import AnalysisError
 from conftest import (bound_domain_dec, draw_fixture, float_matrix,
                       rational_matrix, unit_beta)
 from cross_term_reference import explicit_cross_term
+from norm_bound_reference import lipschitz_bound, pattern_uppers
 
 
 def _poly_lift(rng, zeta, exact=True):
@@ -150,6 +152,41 @@ def _small_pair_fixtures():
     _, d = gen_fixture([(Fraction(0), [3])], seed=4, exact=True)
     _, x1 = gen_fixture([(Fraction(1), [2, 1])], seed=6, exact=True)
     return c, d, x1
+
+
+class TestBoundAgainstReference:
+    """The bounds read their grid peaks off the coefficient table; the
+    reference takes one partial per grid point. Chains are at most 3, so
+    prod(orders!) is a power of two and the two agree bit for bit."""
+
+    @staticmethod
+    def _problems(exact):
+        rng = random.Random(60 + exact)
+        for zeta in (1, 2, 1, 2):
+            dim = rng.choice((3, 4))
+            decs = [draw_fixture(rng, dim, max_block=3, exact=exact)[1]
+                    for _ in range(zeta + 1)]
+            args = [random_matrix(rng, dim, exact=exact)
+                    for _ in range(zeta)]
+            alt = [random_matrix(rng, dim, exact=exact) for _ in range(zeta)]
+            for beta in (_poly_lift(rng, zeta, exact), multivariate_polynomial(
+                    zeta + 1, [(2, (2,) * (zeta + 1)), (-1, (1,) * zeta + (3,)),
+                               (1, (0,) * (zeta + 1))])):
+                yield GmoiProblem(beta, decs, args), alt
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_norm_report_and_lipschitz(self, exact):
+        n = 0
+        for problem, alt in self._problems(exact):
+            want = pattern_uppers(problem)
+            rep = norm_report(problem)
+            assert rep.per_pattern_upper == [up for up, _ in want]
+            assert rep.upper_bound == sum(up for up, _ in want)
+            assert rep.upsilon == sum(sc for _, sc in want)
+            assert lipschitz_check(problem, alt)[1] == lipschitz_bound(
+                problem, alt)
+            n += 1
+        assert n == 8
 
 
 class TestCrossTerms:

@@ -90,6 +90,17 @@ class TestDividedDifference:
         f = polynomial([Fraction(2), Fraction(0), Fraction(5)])   # degree 2
         assert divided_difference(f, [Fraction(k) for k in range(4)]) == 0
 
+    def test_many_nodes(self):
+        # one level per node, without recursion; the levels above the
+        # degree are zero
+        f = polynomial([1, 1])
+        nodes = [Fraction(k) for k in range(1500)]
+        assert divided_difference(f, nodes) == 0
+        g = polynomial([0, 0, 0, 1])            # f[z_0..z_k] = 0 for k > 3
+        assert divided_difference(g, nodes[:6]) == 0
+        assert divided_difference(g, nodes[:4]) == 1
+        assert divided_difference(g, nodes[:3]) == sum(nodes[:3])
+
     @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_recurrence_exact(self, nodes):
