@@ -107,6 +107,13 @@ class TestMatrix:
         want = np.linalg.inv(m.to_numpy())
         assert np.allclose(got, want, atol=1e-10)
 
+    def test_float_inverse_raises_on_numerically_singular(self):
+        m = Matrix([[1, 1], [1, 1 + 1e-15]], exact=False)
+        with pytest.raises(SingularMatrixError) as info:
+            inverse(m)
+        assert math.isfinite(info.value.condition)
+        assert info.value.condition > 1e13
+
     def test_json_roundtrip_exact(self):
         m = Matrix([[qc(Fraction(1, 3), 2), qc(0)],
                     [qc(-1), qc(Fraction(5, 7))]], exact=True)
@@ -226,3 +233,41 @@ class TestExactKernels:
                          for _ in range(16)] for _ in range(16)], exact=True)
                 for _ in range(2))
         assert mat_mul(a, b).rows == mat_mul_reference(a, b).rows
+
+
+def _gaussian_pair(rng, n, span):
+    """A Gaussian-integer matrix with parts in [-span, span], float and
+    exact."""
+    parts = [[(rng.randint(-span, span), rng.randint(-span, span))
+              for _ in range(n)] for _ in range(n)]
+    return (Matrix([[complex(a, b) for a, b in r] for r in parts],
+                   exact=False),
+            Matrix([[qc(a, b) for a, b in r] for r in parts], exact=True))
+
+
+class TestFloatKernels:
+    """The float kernels against the exact ones, on inputs where the
+    answer does not depend on the order of the float sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_product_of_gaussian_integers_is_exact(self, n):
+        # parts up to 8: every partial sum is an integer far below 2**53
+        rng = random.Random(100 + n)
+        for _ in range(5):
+            (af, ae), (bf, be) = (_gaussian_pair(rng, n, 8) for _ in range(2))
+            got = mat_mul(af, bf)
+            assert not got.exact
+            assert got == mat_mul(ae, be).to_float()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+    def test_inverse_matches_exact(self, n):
+        rng = random.Random(200 + n)
+        checked = 0
+        while checked < 4:
+            af, ae = _gaussian_pair(rng, n, 5)
+            if np.linalg.cond(af.to_numpy()) > 100:
+                continue
+            want = inverse(ae).to_float()
+            err = frobenius_norm(inverse(af) - want) / frobenius_norm(want)
+            assert err <= 1e-12
+            checked += 1
