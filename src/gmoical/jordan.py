@@ -267,8 +267,10 @@ def _decompose_auto_float(x, tol):
     a = x.to_numpy()
     n = x.dim
     eigs = np.linalg.eigvals(a)
-    # cluster eigenvalues within a gap-based threshold
-    thr = max(tol, 1e-8) * max(1.0, float(np.abs(a).max()))
+    # cluster eigenvalues within a gap-based threshold, relative to the
+    # matrix scale
+    rel = max(tol, 1e-8)
+    thr = rel * max(1.0, float(np.abs(a).max()))
     clusters = []
     for e in sorted(eigs, key=scalar_key):
         for cl in clusters:
@@ -288,6 +290,11 @@ def _decompose_auto_float(x, tol):
         power = np.eye(n)
         s = 0
         while nullity[-1] < mult:
+            if s == mult:
+                raise DecompositionError(
+                    f"the nullity of (x - lambda)^{s} stays below the "
+                    f"multiplicity {mult} of the eigenvalue near {lam:.6g}: "
+                    f"its rank decisions are inconsistent at this tolerance")
             s += 1
             power = power @ b
             rank = np.linalg.matrix_rank(power, tol=thr * 10)
@@ -299,7 +306,7 @@ def _decompose_auto_float(x, tol):
             cnt = ge[length - 1] - (ge[length] if length < s else 0)
             lengths.extend([length] * cnt)
         # build chains: top vectors from ker b^m modulo ker b^(m-1)
-        chain_vecs = _chain_vectors(b, lengths, thr)
+        chain_vecs = _chain_vectors(b, lengths, thr, rel)
         structure.append((lam, [len(vecs) for vecs in chain_vecs]))
         cols.extend(vec for vecs in chain_vecs for vec in vecs)
     if len(cols) != n:
@@ -333,18 +340,22 @@ def _null_basis(m, thr):
     return vh[rank:].conj().T
 
 
-def _chain_vectors(b, lengths, thr):
+def _chain_vectors(b, lengths, thr, rel):
     """Jordan chains for nilpotent-on-eigenspace map b, given the chain
     length partition (descending). Returns a list of column lists, each
     chain ordered [top, b top, b^2 top, ...] reversed so that
-    b v_{k+1} = v_k (column c maps to column c-1)."""
+    b v_{k+1} = v_k (column c maps to column c-1). ``thr`` is the rank
+    tolerance at the matrix scale; a top candidate, a unit vector, must
+    keep a norm above ``rel * 100`` once the vectors to avoid are
+    projected out."""
     import numpy as np
     n = b.shape[0]
     maxlen = max(lengths)
     powers = [np.eye(n)]
     for _ in range(maxlen):
         powers.append(powers[-1] @ b)
-    kernels = [_null_basis(powers[s], thr) for s in range(maxlen + 1)]
+    kernels = [np.zeros((n, 0))] + [_null_basis(powers[s], thr)
+                                    for s in range(1, maxlen + 1)]
     chains = []
     for m in lengths:   # descending
         km = kernels[m]
@@ -361,7 +372,7 @@ def _chain_vectors(b, lengths, thr):
             if avoid_m.shape[1]:
                 q, _ = np.linalg.qr(avoid_m)
                 cand = cand - q @ (q.conj().T @ cand)
-            if np.linalg.norm(cand) > max(thr * 100, 1e-7):
+            if np.linalg.norm(cand) > rel * 100:
                 top = cand / np.linalg.norm(cand)
                 break
         if top is None:

@@ -2,6 +2,7 @@
 invariants, and the semisimple/nilpotent split."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,50 @@ class TestErrors:
                            match=r"residual .* exceeds .* signature "
                                  r"\(\(3, 1\),\)"):
             decompose(m)
+
+
+# chains of at most 2; the float rank tolerance carries the matrix scale
+SCALED = [
+    [(1.0, [1]), (2.0, [1])],
+    [(1.0, [2]), (3.0, [1])],
+    [(2.0, [2, 1])],
+    [(-1.0, [2]), (1.0, [2])],
+    [(0.0, [1]), (1.0, [2]), (2.0, [1])],
+]
+
+
+class TestScale:
+    """Float auto decomposition of large matrices: it finds the structure
+    up to entries of 1e8 or fails loudly, with no numpy warning."""
+
+    def test_large_diagonal(self):
+        dec = decompose(Matrix([[1e6, 0], [0, 2e6]], exact=False))
+        assert dec.signature() == ((1,), (1,))
+        assert dec.eigenvalues == [1e6, 2e6]
+
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+    @pytest.mark.parametrize("case", range(len(SCALED)))
+    def test_scaled_fixture_keeps_signature(self, case, scale):
+        x, truth = gen_fixture(SCALED[case], seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = decompose(x.scale(scale))
+        assert dec.signature() == truth.signature()
+
+    @pytest.mark.parametrize("scale", [1e9, 1e10, 1e11, 1e12])
+    @pytest.mark.parametrize("case", range(len(SCALED)))
+    def test_beyond_the_rank_tolerance_fails_loudly(self, case, scale):
+        # a chain's rank decisions fail past 1e8 (ROADMAP item 8); the
+        # rank profile stops at the multiplicity instead of overflowing
+        x, truth = gen_fixture(SCALED[case], seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if max(map(max, truth.signature())) == 1:
+                assert decompose(x.scale(scale)).signature() == \
+                    truth.signature()
+            else:
+                with pytest.raises(DecompositionError):
+                    decompose(x.scale(scale))
 
 
 # (structure, distinct eigenvalues, signature) with several chains per
