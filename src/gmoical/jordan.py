@@ -428,8 +428,14 @@ def _eigenvalues(re, im, d):
               for k, (a, b) in enumerate(g)]
     mults = {}
     for y in np.roots(scaled):
-        z = complex(y) * 2.0 ** e
-        mu = _root_near(g, z)
+        try:
+            z = complex(math.ldexp(y.real, e), math.ldexp(y.imag, e))
+            mu = _root_near(g, z)
+        except OverflowError:
+            size = math.log10(abs(y)) + e * math.log10(2) - math.log10(d)
+            raise DecompositionError(
+                f"exact decomposition: an eigenvalue of magnitude about "
+                f"10^{size:.0f} is beyond the float range") from None
         if mu is None:
             raise DecompositionError(
                 "exact decomposition requires rational eigenvalues: "

@@ -432,7 +432,14 @@ def gauss_mat_mul(ar, ai, br, bi):
 
 
 def frobenius_norm(a):
-    return math.sqrt(float(a.frobenius_sq()))
+    """The Frobenius norm as a float; NumericsError when its square, exact
+    in exact mode, is beyond the float range."""
+    try:
+        return math.sqrt(float(a.frobenius_sq()))
+    except OverflowError:
+        raise NumericsError(
+            f"the squared Frobenius norm of a dim-{a.dim} matrix is beyond "
+            f"the float range") from None
 
 
 def inverse(a):

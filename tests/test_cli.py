@@ -82,6 +82,20 @@ class TestDecompose:
         assert "requires rational eigenvalues" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("entries", [
+        [[10 ** 400, 2 * 10 ** 400]], [[10 ** 400, 0]]])
+    def test_eigenvalue_beyond_float_range_exact(self, runner, tmp_path,
+                                                 entries):
+        (a, b), = entries
+        m = _write(tmp_path, "big.json", {"dim": 2, "entries": [
+            [str(a), 0], [0, 0], [0, 0], [str(b), 0]]})
+        res = runner.invoke(main, ["decompose", m, "--exact"])
+        assert res.exit_code == 2
+        assert res.stderr == ("error: exact decomposition: an eigenvalue of "
+                              "magnitude about 10^400 is beyond the float "
+                              "range\n")
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("mode", [[], ["--exact"]])
     def test_boolean_entry(self, runner, tmp_path, mode):
         m = _write(tmp_path, "bool.json", {"dim": 2, "entries": [
@@ -274,6 +288,32 @@ class TestBounds:
         assert res.stderr == (
             "error: term budget exceeded: 4 terms > budget 3 (dim 2, "
             "options per slot [2, 2], modes (P,P) (P,N) (N,P) (N,N))\n")
+
+
+def _huge_problem(tmp_path):
+    """A quadratic's first divided difference at X = diag(10^200, 2 10^200):
+    exact results whose squared norms are beyond the float range."""
+    x = _write(tmp_path, "x.json", {"dim": 2, "entries": [
+        [str(10 ** 200), 0], [0, 0], [0, 0], [str(2 * 10 ** 200), 0]]})
+    y = _write(tmp_path, "y.json",
+               {"dim": 2, "entries": [[1, 0], [2, 0], [3, 0], [4, 0]]})
+    beta = _write(tmp_path, "beta.json", {
+        "kind": "dd-lift", "order": 1,
+        "base": {"kind": "polynomial", "coeffs": [0, 0, 1]}})
+    return ["--beta", beta, "--params", f"{x},{x}", "--args", y, "--exact"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "lipschitz"])
+def test_norm_beyond_float_range_exact(runner, tmp_path, command):
+    argv = [command] + _huge_problem(tmp_path)
+    if command == "lipschitz":
+        argv += ["--args2", _write(tmp_path, "z.json", {
+            "dim": 2, "entries": [[1, 0], [1, 0], [3, 0], [4, 0]]})]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert res.stderr == ("error: the squared Frobenius norm of a dim-2 "
+                          "matrix is beyond the float range\n")
+    assert res.stdout == ""
 
 
 class TestLipschitz:
