@@ -81,11 +81,12 @@ def _pattern_upper(problem, pattern, peak, nil_norms):
 
 
 def _pattern_uppers(problem):
-    """``_pattern_upper`` of each nilpotent pattern, in pattern order. The
-    grid peak of an order tuple is the largest |coefficient| over the keys
-    of the grid points in the symbol's coefficient table, computed once
-    for all patterns, and so are the nilpotent-power norms of each
-    parameter."""
+    """(``_pattern_upper`` of each nilpotent pattern, in pattern order, and
+    min |beta| over the eigenvalue grid). The grid peak of an order tuple
+    is the largest |coefficient| over the keys of the grid points in the
+    symbol's coefficient table, computed once for all patterns, and so are
+    the nilpotent-power norms of each parameter; the grid minimum reads
+    the order-0 keys of the same table."""
     r = problem.zeta + 1
     nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
                   for q, npow in enumerate(b.powers, 1)]
@@ -100,16 +101,19 @@ def _pattern_uppers(problem):
                   for p, g, top in zip(parts, grids, tops)]
     peaks = {}
 
+    def grid_abs(orders):
+        keys = [0]
+        for slot, q in zip(grid_parts, orders):
+            keys = [k + p for k in keys for p in slot[q]]
+        return map(abs, map(coeffs.__getitem__, keys))
+
     def peak(orders):
         if orders not in peaks:
-            keys = [0]
-            for slot, q in zip(grid_parts, orders):
-                keys = [k + p for k in keys for p in slot[q]]
-            peaks[orders] = max(map(abs, map(coeffs.__getitem__, keys)))
+            peaks[orders] = max(grid_abs(orders))
         return peaks[orders]
 
-    return [_pattern_upper(problem, NilpotentPattern(i, r), peak, nil_norms)
-            for i in range(2 ** r)]
+    return ([_pattern_upper(problem, NilpotentPattern(i, r), peak, nil_norms)
+             for i in range(2 ** r)], min(grid_abs((0,) * r)))
 
 
 def norm_report(problem, budget=None):
@@ -118,7 +122,7 @@ def norm_report(problem, budget=None):
     problem = problem.tabulated()
     terms = pattern_terms(problem, budget=budget)
     per_norm = [frobenius_norm(t) for _, t in terms]
-    uppers = _pattern_uppers(problem)
+    uppers, beta_min = _pattern_uppers(problem)
     per_up = [up for up, _ in uppers]
     total = Matrix.zeros(problem.dim, problem.exact)
     for _, t in terms:
@@ -126,9 +130,6 @@ def norm_report(problem, budget=None):
     actual = frobenius_norm(total)
     sorted_lower = reverse_triangle_lower(per_norm)
     # dominance-based lower bound on the all-projector term
-    grids = [_grid(d) for d in problem.params]
-    beta_min = min(abs(problem.beta.eval(*lams))
-                   for lams in itertools.product(*grids))
     prod = None
     for y in problem.args:
         prod = y if prod is None else mat_mul(prod, y)
@@ -155,7 +156,7 @@ def lipschitz_check(problem, args_alt, budget=None):
     if len(args_alt) != zeta:
         raise AnalysisError("need one alternate argument per slot")
     problem = problem.tabulated()
-    ups = sum(sc for _, sc in _pattern_uppers(problem))
+    ups = sum(sc for _, sc in _pattern_uppers(problem)[0])
     ny = [frobenius_norm(y) for y in problem.args]
     ny2 = [frobenius_norm(y) for y in args_alt]
     bound = 0.0

@@ -3,14 +3,15 @@ peak taken by brute force.
 
 For each order tuple, the peak is max |beta.partial(orders, lams)| over
 every point of the eigenvalue grids, one partial per point, divided by
-prod(orders!) where the pattern sums. The package reads the same peak off
-its coefficient table; the tests compare the two.
+prod(orders!) where the pattern sums, and the grid minimum of |beta| is
+one evaluation per point. The package reads both off its coefficient
+table; the tests compare the two.
 """
 
 import itertools
 import math
 
-from gmoical import NilpotentPattern, frobenius_norm
+from gmoical import NilpotentPattern, frobenius_norm, mat_mul
 from gmoical.numerics import scalar
 
 
@@ -58,6 +59,25 @@ def pattern_uppers(problem):
                 w_unsel *= weights[j]
         out.append((scalar_total * w_sel * w_unsel, scalar_total))
     return out
+
+
+def beta_min(problem):
+    """min |beta| over the eigenvalue grid, one evaluation per point."""
+    grids = [[scalar(e) for e in d.eigenvalues] for d in problem.params]
+    return min(abs(problem.beta.eval(*lams))
+               for lams in itertools.product(*grids))
+
+
+def min_beta_lower(problem, per_pattern_norms):
+    """The dominance lower bound of ``norm_report`` on the reference grid
+    minimum, given the report's per-pattern norms; None when the dominance
+    condition fails."""
+    prod = problem.args[0]
+    for y in problem.args[1:]:
+        prod = mat_mul(prod, y)
+    dominant = beta_min(problem) * frobenius_norm(prod)
+    rest = sum(per_pattern_norms[1:])
+    return dominant - rest if dominant >= rest else None
 
 
 def lipschitz_bound(problem, args_alt):

@@ -14,11 +14,12 @@ from gmoical import (GmoiProblem, StructureInstabilityError,
                      multivariate_polynomial, polynomial, random_matrix,
                      reverse_triangle_lower)
 from gmoical import Matrix
-from gmoical.analysis import AnalysisError
+from gmoical.analysis import AnalysisError, _pattern_uppers
 from conftest import (bound_domain_dec, draw_fixture, float_matrix,
                       rational_matrix, unit_beta)
 from cross_term_reference import explicit_cross_term
-from norm_bound_reference import lipschitz_bound, pattern_uppers
+from norm_bound_reference import (beta_min, lipschitz_bound,
+                                  min_beta_lower, pattern_uppers)
 
 
 def _poly_lift(rng, zeta, exact=True):
@@ -183,6 +184,11 @@ class TestBoundAgainstReference:
             assert rep.per_pattern_upper == [up for up, _ in want]
             assert rep.upper_bound == sum(up for up, _ in want)
             assert rep.upsilon == sum(sc for _, sc in want)
+            assert _pattern_uppers(problem.tabulated())[1] == beta_min(
+                problem)
+            assert rep.min_beta_lower == min_beta_lower(
+                problem, rep.per_pattern_norms)
+            assert rep.condition_holds == (rep.min_beta_lower is not None)
             assert lipschitz_check(problem, alt)[1] == lipschitz_bound(
                 problem, alt)
             n += 1
