@@ -95,6 +95,15 @@ def _decompose_all(paths, exact, tol):
             for m in _load_matrices(paths, exact)]
 
 
+def _load_problem(beta_path, params, args_paths, exact, tol):
+    """The integral of the symbol at ``beta_path`` with the decomposed
+    parameter matrices ``params`` and the argument matrices
+    ``args_paths``, both comma-separated file lists."""
+    beta = _load_function(beta_path)
+    decs = _decompose_all(params, exact, tol)
+    return engine.GmoiProblem(beta, decs, _load_matrices(args_paths, exact))
+
+
 @click.group()
 def main():
     """Evaluate matrix functions, operator integrals, and their bounds,
@@ -171,11 +180,8 @@ def funcmat(function_path, matrices, tol, exact, as_json, budget):
 def gmoi(beta_path, params, args_paths, patterns, dump_terms, tol, exact,
          as_json, budget):
     """Evaluate the operator integral T_beta^{X...}(Y...)."""
-    beta = _load_function(beta_path)
-    decs = _decompose_all(params, exact, tol)
-    args = _load_matrices(args_paths, exact)
-    problem = engine.GmoiProblem(beta, decs, args)
-    r = len(decs)
+    problem = _load_problem(beta_path, params, args_paths, exact, tol)
+    r = len(problem.params)
     full = ("full",) * r
     pats = [engine.NilpotentPattern(i, r) for i in range(2 ** r)
             if patterns or dump_terms]
@@ -200,10 +206,7 @@ def gmoi(beta_path, params, args_paths, patterns, dump_terms, tol, exact,
 def bounds(beta_path, params, args_paths, dump_terms, tol, exact, as_json,
            budget):
     """Norm-bound report (upper, sorted lower, dominance lower)."""
-    beta = _load_function(beta_path)
-    decs = _decompose_all(params, exact, tol)
-    args = _load_matrices(args_paths, exact)
-    problem = engine.GmoiProblem(beta, decs, args)
+    problem = _load_problem(beta_path, params, args_paths, exact, tol)
     rep = analysis.norm_report(problem, budget=budget)
     payload = {
         "upperBound": rep.upper_bound,
@@ -230,12 +233,9 @@ def bounds(beta_path, params, args_paths, dump_terms, tol, exact, as_json,
 def lipschitz(beta_path, params, args_paths, args2_paths, tol, exact,
               as_json, budget):
     """Argument-Lipschitz estimate: actual difference vs bound."""
-    beta = _load_function(beta_path)
-    decs = _decompose_all(params, exact, tol)
-    args = _load_matrices(args_paths, exact)
+    problem = _load_problem(beta_path, params, args_paths, exact, tol)
     args2 = _load_matrices(args2_paths, exact)
-    actual, bound = analysis.lipschitz_check(
-        engine.GmoiProblem(beta, decs, args), args2, budget=budget)
+    actual, bound = analysis.lipschitz_check(problem, args2, budget=budget)
     _emit({"actual": actual, "bound": bound, "holds": actual <= bound},
           as_json)
 
@@ -303,14 +303,11 @@ def verify_perturbation(function_path, c_path, d_path, x1_path, params,
 def continuity(beta_path, params, args_paths, directions, levels, tol,
                exact, as_json, budget):
     """Residual decay of the integral along X_j + t E_j, t = 2^-l."""
-    beta = _load_function(beta_path)
-    decs = _decompose_all(params, exact, tol)
-    args = _load_matrices(args_paths, exact)
+    problem = _load_problem(beta_path, params, args_paths, exact, tol)
     dirs = _load_matrices(directions, exact)
     steps = [2.0 ** -l for l in range(1, levels + 1)]
-    rep = analysis.continuity_experiment(
-        engine.GmoiProblem(beta, decs, args), dirs, steps, tol=tol,
-        budget=budget)
+    rep = analysis.continuity_experiment(problem, dirs, steps, tol=tol,
+                                         budget=budget)
     _emit({"steps": rep.steps, "residuals": rep.residuals,
            "slope": rep.slope}, as_json)
 
