@@ -44,10 +44,6 @@ def reverse_triangle_lower(norms):
     return max(0.0, s[0] - sum(s[1:]))
 
 
-def _grid(dec):
-    return [scalar(e) for e in dec.eigenvalues]
-
-
 def _pattern_upper(problem, pattern, peak, nil_norms):
     """(bound, scalar) for one nilpotent pattern: bound includes the
     argument-norm factors, scalar omits them (used for the Lipschitz
@@ -91,7 +87,7 @@ def _pattern_uppers(problem):
     nil_norms = [[(q, frobenius_norm(npow)) for b in d.blocks
                   for q, npow in enumerate(b.powers, 1)]
                  for d in problem.params]
-    grids = [_grid(d) for d in problem.params]
+    grids = [[scalar(e) for e in d.eigenvalues] for d in problem.params]
     tops = [max((q for q, _ in n), default=0) for n in nil_norms]
     parts, coeffs = problem.beta.coefficient_table(
         [[(z, q) for q in range(top + 1) for z in grid]

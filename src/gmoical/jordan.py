@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
+
 from .numerics import (Matrix, QC, SingularMatrixError, _numerators,
                        frobenius_norm, gauss_jordan, gauss_mat_mul, inverse,
                        mat_mul, scalar, scalar_key)
@@ -42,14 +44,13 @@ class DecompositionError(ValueError):
 def shift_factor(v, v_inv, pairs):
     """V E V^-1 for the 0/1 matrix E with ones at ``pairs`` (i, k).
 
-    Multiplied as (V E) V^-1: V (E V^-1) has the same nonzero entries in
-    float mode but can flip the sign of zero ones, which the float
-    ``decompose`` output prints."""
-    zero, one = (QC(0), QC(1)) if v.exact else (0j, 1 + 0j)
-    e = [[zero] * v.dim for _ in range(v.dim)]
+    Multiplied as (V E) V^-1, where column k of V E is column i of V:
+    V (E V^-1) has the same nonzero entries in float mode but can flip
+    the sign of zero ones, which the float ``decompose`` output prints."""
+    ve = Matrix.zeros(v.dim, v.exact).array.copy()
     for i, k in pairs:
-        e[i][k] = one
-    return mat_mul(mat_mul(v, Matrix(e, exact=v.exact)), v_inv)
+        ve[:, k] = v.array[:, i]
+    return mat_mul(Matrix(ve, exact=v.exact), v_inv)
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,22 @@ class JordanDecomposition:
 
     def _similar(self, diagonal, shift):
         """V M V^-1 for M in Jordan coordinates: the eigenvalues on the
-        diagonal if ``diagonal``, plus the chains' shift S if ``shift``.
-        Column c of V M is lambda_c v_c plus v_{c-1} inside a chain, so
-        this is one product."""
-        zero = QC(0) if self.exact else 0j
-        vm = [[zero] * self.dim for _ in range(self.dim)]
+        diagonal if ``diagonal``, plus the chains' shift S if ``shift``."""
+        return mat_mul(Matrix(self._v_times(diagonal, shift),
+                              exact=self.exact), self.transform_inv)
+
+    def _v_times(self, diagonal, shift):
+        """The array V M of ``_similar``: column c is lambda_c v_c plus
+        v_{c-1} inside a chain, so it takes no product."""
+        v = self.transform.array
+        vm = Matrix.zeros(self.dim, self.exact).array.copy()
         for b in self.blocks:
-            for c in range(b.start, b.start + b.order):
-                for row, vrow in zip(vm, self.transform.rows):
-                    x = b.eigenvalue * vrow[c] if diagonal else zero
-                    row[c] = x + vrow[c - 1] if shift and c > b.start else x
-        return mat_mul(Matrix(vm, exact=self.exact), self.transform_inv)
+            end = b.start + b.order
+            if diagonal:
+                vm[:, b.start:end] = b.eigenvalue * v[:, b.start:end]
+            if shift:
+                vm[:, b.start + 1:end] += v[:, b.start:end - 1]
+        return vm
 
     def reconstruct(self):
         """X = V J V^-1."""
@@ -239,8 +245,7 @@ def from_structure(structure, transform):
     chains.sort(key=lambda ch: (*scalar_key(ch[0]), -ch[2]))
     # re-pack V columns to the sorted chain order
     perm = [c for _, start, m in chains for c in range(start, start + m)]
-    v = Matrix([[row[j] for j in perm] for row in transform.rows],
-               exact=exact)
+    v = Matrix(transform.array[:, perm], exact=exact)
     try:
         v_inv = inverse(v)
     except SingularMatrixError as e:
@@ -263,7 +268,6 @@ def _residual_limit(x, tol):
 
 
 def _decompose_auto_float(x, tol):
-    import numpy as np
     a = x.to_numpy()
     n = x.dim
     eigs = np.linalg.eigvals(a)
@@ -315,15 +319,9 @@ def _decompose_auto_float(x, tol):
             f"matrix of dim {n}: its rank decisions are inconsistent at "
             f"this tolerance")
     dec = from_structure(structure, Matrix.from_numpy(np.column_stack(cols)))
-    # ||V J V^-1 - X||_F, with J read off the chains
-    j = np.zeros((n, n), dtype=complex)
-    for b in dec.blocks:
-        for k in range(b.start, b.start + b.order):
-            j[k, k] = b.eigenvalue
-            if k > b.start:
-                j[k - 1, k] = 1
-    resid = float(np.linalg.norm(dec.transform.to_numpy() @ j
-                                 @ dec.transform_inv.to_numpy() - a))
+    # ||V J V^-1 - X||_F
+    resid = float(np.linalg.norm(dec._v_times(True, True)
+                                 @ dec.transform_inv.array - a))
     limit = _residual_limit(x, tol)
     if resid > limit:
         raise DecompositionError(
@@ -334,7 +332,6 @@ def _decompose_auto_float(x, tol):
 
 
 def _null_basis(m, thr):
-    import numpy as np
     u, s, vh = np.linalg.svd(m)
     rank = int((s > thr * 10).sum())
     return vh[rank:].conj().T
@@ -348,7 +345,6 @@ def _chain_vectors(b, lengths, thr, rel):
     tolerance at the matrix scale; a top candidate, a unit vector, must
     keep a norm above ``rel * 100`` once the vectors to avoid are
     projected out."""
-    import numpy as np
     n = b.shape[0]
     maxlen = max(lengths)
     powers = [np.eye(n)]
@@ -358,19 +354,13 @@ def _chain_vectors(b, lengths, thr, rel):
                                     for s in range(1, maxlen + 1)]
     chains = []
     for m in lengths:   # descending
-        km = kernels[m]
         # project out: span of ker b^(m-1) plus b-images already used tops
-        avoid = [kernels[m - 1]]
-        for ch in chains:
-            if len(ch) >= m:
-                avoid.append(np.column_stack(ch)[:, :])
-        avoid_m = np.column_stack([a for a in avoid if a.shape[1]]) \
-            if any(a.shape[1] for a in avoid) else np.zeros((n, 0))
+        avoid = np.column_stack([kernels[m - 1]] + [
+            v for ch in chains if len(ch) >= m for v in ch])
+        q = np.linalg.qr(avoid)[0] if avoid.shape[1] else None
         top = None
-        for j in range(km.shape[1]):
-            cand = km[:, j]
-            if avoid_m.shape[1]:
-                q, _ = np.linalg.qr(avoid_m)
+        for cand in kernels[m].T:
+            if q is not None:
                 cand = cand - q @ (q.conj().T @ cand)
             if np.linalg.norm(cand) > rel * 100:
                 top = cand / np.linalg.norm(cand)
@@ -416,7 +406,6 @@ def _eigenvalues(re, im, d):
     ``_root_near`` rounds each onto Z[i] and certifies g(mu) = 0 exactly.
     DecompositionError names an eigenvalue of B / d that is not
     rational."""
-    import numpy as np
     chi = _charpoly(re, im)
     gcd = _poly_gcd(chi, [((len(chi) - 1 - k) * a, (len(chi) - 1 - k) * b)
                           for k, (a, b) in enumerate(chi[:-1])])

@@ -1,14 +1,16 @@
-"""Scalar and matrix arithmetic in two modes: float (Python complex) and
+"""Scalar and matrix arithmetic in two modes: float (complex128) and
 exact rational complex (Fraction pairs, ``QC``).
 
-Matrices are small (dim <= 16) dense pure-Python objects with one
-interface in both modes; conversion to/from numpy happens only at the
-boundary (see :mod:`gmoical.jordan`). Float ``mat_mul`` and ``inverse``
-are plain loops over complex entries. Their exact kernels write a matrix
-as (R + iI) / d, integer numerator rows over the least common denominator
-of its entries: a product takes integer dot products and reduces each
-entry once, and the inverse is fraction-free Gauss-Jordan elimination
-over the Gaussian integers (``gauss_jordan``), which also gives the exact
+A matrix is small (dim <= 16), dense and immutable, with one interface in
+both modes: it holds one read-only numpy array, ``complex128`` in float
+mode and dtype ``object`` holding ``QC`` in exact mode, so its elementwise
+operations are one array expression in either mode. Float ``mat_mul`` is
+numpy's product and float ``inverse`` runs Gauss-Jordan elimination with
+partial pivoting on the array. The exact kernels write a matrix as
+(R + iI) / d, integer numerator rows over the least common denominator of
+its entries: a product takes integer dot products and reduces each entry
+once, and the inverse is fraction-free Gauss-Jordan elimination over the
+Gaussian integers (``gauss_jordan``), which also gives the exact
 decomposition its ranks and nullspaces.
 """
 
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 
 class NumericsError(ValueError):
@@ -43,11 +47,7 @@ class SingularMatrixError(NumericsError):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, str, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -153,6 +153,8 @@ class QC:
     def to_complex(self):
         return complex(self.re, self.im)
 
+    __complex__ = to_complex
+
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
@@ -199,13 +201,6 @@ def _emit_part(x):
     return str(x) if x.denominator != 1 else int(x)
 
 
-def _mod_sq(x):
-    """Squared modulus, exact when x is a QC."""
-    if isinstance(x, QC):
-        return x.modulus_sq()
-    return x.real * x.real + x.imag * x.imag
-
-
 def parse_entry(entry, exact):
     """Parse a JSON matrix entry ``[re, im]`` where each part is a number
     or a "p/q" string. NaN and infinite parts raise NumericsError."""
@@ -229,41 +224,55 @@ def parse_entry(entry, exact):
 
 class Matrix:
     """Immutable dense square matrix over complex floats or exact rational
-    complex scalars (uniform per matrix)."""
+    complex scalars (uniform per matrix): one read-only (dim, dim) numpy
+    array, ``complex128`` in float mode and dtype ``object`` holding
+    ``QC`` in exact mode."""
 
-    __slots__ = ("dim", "rows", "exact")
+    __slots__ = ("array", "exact")
 
     def __init__(self, rows, exact=None):
-        rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square")
         if exact is None:
-            exact = bool(rows) and isinstance(rows[0][0], QC)
-        if exact:
-            rows = tuple(tuple(e if isinstance(e, QC) else QC(e) for e in r)
-                         for r in rows)
-        else:
-            rows = tuple(tuple(complex(e) for e in r) for r in rows)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "rows", rows)
+            exact = isinstance(next(iter(next(iter(rows), ())), None), QC)
+        array = np.array(rows, dtype=object if exact else complex)
+        self._set(_as_qc(array) if exact else array, exact)
+
+    def _set(self, array, exact):
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
         object.__setattr__(self, "exact", exact)
+
+    @classmethod
+    def _of(cls, array, exact):
+        """The matrix of an array this module built, as it is."""
+        m = object.__new__(cls)
+        m._set(array, exact)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def dim(self):
+        return self.array.shape[0]
+
+    @property
+    def rows(self):
+        """The entries as lists of Python scalars, row by row."""
+        return self.array.tolist()
+
     # -- constructors --------------------------------------------------
     @classmethod
     def identity(cls, n, exact=False):
-        one = QC(1) if exact else 1 + 0j
-        zero = QC(0) if exact else 0j
-        return cls([[one if i == j else zero for j in range(n)]
-                    for i in range(n)], exact=exact)
+        a = _filled(n, exact)
+        np.fill_diagonal(a, QC(1) if exact else 1)
+        return cls._of(a, exact)
 
     @classmethod
     def zeros(cls, n, exact=False):
-        zero = QC(0) if exact else 0j
-        return cls([[zero] * n for _ in range(n)], exact=exact)
+        return cls._of(_filled(n, exact), exact)
 
     @classmethod
     def from_json(cls, obj, exact=False):
@@ -292,13 +301,11 @@ class Matrix:
 
     @classmethod
     def from_numpy(cls, arr):
-        return cls([[complex(arr[i, j]) for j in range(arr.shape[1])]
-                    for i in range(arr.shape[0])], exact=False)
+        return cls(arr, exact=False)
 
     def to_numpy(self):
-        import numpy as np
-        return np.array([[complex(e) if not self.exact else e.to_complex()
-                          for e in row] for row in self.rows], dtype=complex)
+        """A new complex array of the entries."""
+        return self.array.astype(complex)
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other):
@@ -310,23 +317,17 @@ class Matrix:
 
     def __add__(self, other):
         self._check(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)],
-                      exact=self.exact)
+        return Matrix._of(self.array + other.array, self.exact)
 
     def __sub__(self, other):
         self._check(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)],
-                      exact=self.exact)
+        return Matrix._of(self.array - other.array, self.exact)
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows], exact=self.exact)
+        return Matrix._of(-self.array, self.exact)
 
     def scale(self, s):
-        s = scalar(s, self.exact)
-        return Matrix([[s * a for a in r] for r in self.rows],
-                      exact=self.exact)
+        return Matrix._of(scalar(s, self.exact) * self.array, self.exact)
 
     def __matmul__(self, other):
         return mat_mul(self, other)
@@ -347,51 +348,44 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.exact == other.exact and self.dim == other.dim
-                and self.rows == other.rows)
+        return (self.exact == other.exact
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self):
-        return hash((self.exact, self.rows))
+        return hash((self.exact, tuple(self.array.ravel().tolist())))
 
     def is_zero(self):
-        return all(not _mod_sq(e) for r in self.rows for e in r)
+        return not np.count_nonzero(self.array)
 
     def frobenius_sq(self):
         """Sum of squared entry moduli; exact Fraction in exact mode."""
-        tot = Fraction(0) if self.exact else 0.0
-        for r in self.rows:
-            for e in r:
-                tot += _mod_sq(e)
-        return tot
+        if self.exact:
+            return sum((e.modulus_sq() for e in self.array.flat),
+                       Fraction(0))
+        return float(np.vdot(self.array, self.array).real)
 
     def max_abs(self):
-        return max((abs(e if not self.exact else e.to_complex())
-                    for r in self.rows for e in r), default=0.0)
+        return float(np.abs(self.to_numpy()).max(initial=0.0))
 
     def to_float(self):
-        if not self.exact:
-            return self
-        return Matrix([[e.to_complex() for e in r] for r in self.rows],
-                      exact=False)
+        return Matrix._of(self.to_numpy(), False) if self.exact else self
+
+
+def _filled(n, exact):
+    """A writable n x n array of zeros of the mode."""
+    return np.full((n, n), QC(0) if exact else 0j,
+                   dtype=object if exact else complex)
+
+
+# the exact constructor also takes ints, Fractions and "p/q" strings
+_as_qc = np.frompyfunc(lambda e: e if isinstance(e, QC) else QC(e), 1, 1)
 
 
 def mat_mul(a, b):
     a._check(b)
     if a.exact:
         return _exact_mat_mul(a, b)
-    n = a.dim
-    br = b.rows
-    out = []
-    for i in range(n):
-        ar = a.rows[i]
-        row = []
-        for j in range(n):
-            s = ar[0] * br[0][j]
-            for k in range(1, n):
-                s = s + ar[k] * br[k][j]
-            row.append(s)
-        out.append(row)
-    return Matrix(out, exact=False)
+    return Matrix._of(a.array @ b.array, False)
 
 
 def _numerators(rows):
@@ -444,37 +438,31 @@ def frobenius_norm(a):
 
 def inverse(a):
     """Gauss-Jordan inverse. Exact mode eliminates fraction-free over the
-    Gaussian integers; float mode uses partial pivoting and raises
+    Gaussian integers; float mode uses partial pivoting on the augmented
+    array [a | I], one rank-one update per column, and raises
     SingularMatrixError with a condition indicator when the pivot is
     negligible."""
     if a.exact:
         return _exact_inverse(a)
     n = a.dim
-    aug = [list(ra) + list(rb)
-           for ra, rb in zip(a.rows, Matrix.identity(n, False).rows)]
+    aug = np.hstack([a.array, np.eye(n, dtype=complex)])
     scale_ref = a.max_abs() or 1.0
-    min_pivot = math.inf
     for col in range(n):
-        piv_row = max(range(col, n), key=lambda r: _mod_sq(aug[r][col]))
-        piv = aug[piv_row][col]
-        piv_abs = math.sqrt(float(_mod_sq(piv)))
+        below = aug[col:, col]
+        piv_row = col + int(np.argmax(below.real ** 2 + below.imag ** 2))
+        piv = complex(aug[piv_row, col])
+        piv_abs = math.sqrt(piv.real * piv.real + piv.imag * piv.imag)
         if piv_abs <= 1e-13 * scale_ref:
             cond = scale_ref / piv_abs if piv_abs else math.inf
             raise SingularMatrixError(
                 f"matrix is numerically singular (pivot {piv_abs:.3e})",
                 condition=cond)
-        min_pivot = min(min_pivot, piv_abs)
-        aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        inv_piv = 1.0 / piv
-        aug[col] = [e * inv_piv for e in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if not _mod_sq(f):
-                continue
-            aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return Matrix([row[n:] for row in aug], exact=False)
+        aug[[col, piv_row]] = aug[[piv_row, col]]
+        aug[col] *= 1.0 / piv
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        aug -= np.outer(factors, aug[col])
+    return Matrix._of(aug[:, n:].copy(), False)
 
 
 def _exact_inverse(a):
