@@ -304,8 +304,13 @@ class Matrix:
         return cls(arr, exact=False)
 
     def to_numpy(self):
-        """A new complex array of the entries."""
-        return self.array.astype(complex)
+        """A new complex array of the entries; NumericsError when an exact
+        entry is beyond the float range."""
+        try:
+            return self.array.astype(complex)
+        except OverflowError:
+            raise NumericsError(f"a dim-{self.dim} matrix has an entry "
+                                f"beyond the float range") from None
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other):

@@ -316,6 +316,23 @@ def test_norm_beyond_float_range_exact(runner, tmp_path, command):
     assert res.stdout == ""
 
 
+def test_float_check_of_entries_beyond_float_range_exact(runner, tmp_path):
+    # nilpotent, so the exact decomposition and derivative hold; the
+    # float oracle cannot take the matrix
+    x = _write(tmp_path, "x.json", {"dim": 2, "entries": [
+        [0, 0], [str(10 ** 400), 0], [0, 0], [0, 0]]})
+    y = _write(tmp_path, "y.json",
+               {"dim": 2, "entries": [[1, 0], [2, 0], [3, 0], [4, 0]]})
+    f = _write(tmp_path, "f.json", {"kind": "polynomial", "coeffs": [0, 0, 1]})
+    argv = ["derivative", "--function", f, "--x", x, "--y", y, "--exact"]
+    assert runner.invoke(main, argv).exit_code == 0
+    res = runner.invoke(main, argv + ["--verify"])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: a dim-2 matrix has an entry beyond the "
+                          "float range\n")
+    assert res.stdout == ""
+
+
 class TestLipschitz:
     def test_equal_args_zero(self, runner, tmp_path, jordan2):
         beta = _write(tmp_path, "one.json", {
