@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from .jordan import from_structure, structure_dim
-from .numerics import Matrix, QC
+from .numerics import Matrix
 
 
 class FixtureError(ValueError):
@@ -26,14 +26,8 @@ def _condition(v):
 def _random_transform(rng, dim, exact):
     """Identity plus small integer noise: invertible with high probability
     and well conditioned."""
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            e = (1 if i == j else 0) + rng.randint(-2, 2)
-            row.append(QC(Fraction(e)) if exact else complex(e))
-        rows.append(row)
-    return Matrix(rows, exact=exact)
+    return Matrix([[(i == j) + rng.randint(-2, 2) for j in range(dim)]
+                   for i in range(dim)], exact=exact)
 
 
 def gen_fixture(structure, seed=0, exact=False, max_tries=50):
@@ -83,14 +77,8 @@ def random_fixture(rng, dim, max_block=2, exact=False, distinct=False,
 
 def random_matrix(rng, dim, exact=False, span=2):
     """A dense random argument matrix with small real entries."""
-    rows = []
-    for _ in range(dim):
-        row = []
-        for _ in range(dim):
-            re = rng.randint(-span, span)
-            if exact:
-                row.append(QC(Fraction(re)))
-            else:
-                row.append(complex(re) + (rng.random() - 0.5) * 0.5)
-        rows.append(row)
-    return Matrix(rows, exact=exact)
+    def entry():
+        re = rng.randint(-span, span)
+        return re if exact else re + (rng.random() - 0.5) * 0.5
+    return Matrix([[entry() for _ in range(dim)] for _ in range(dim)],
+                  exact=exact)

@@ -171,8 +171,6 @@ def scalar(value, exact=False):
         if isinstance(value, complex):
             return QC(Fraction(value.real), Fraction(value.imag))
         return QC(value)
-    if isinstance(value, QC):
-        return value.to_complex()
     if isinstance(value, str):
         return complex(Fraction(value))
     return complex(value)
