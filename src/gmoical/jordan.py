@@ -32,9 +32,9 @@ from operator import mul
 
 import numpy as np
 
-from .numerics import (Matrix, QC, SingularMatrixError, _numerators,
-                       frobenius_norm, gauss_jordan, gauss_mat_mul, inverse,
-                       mat_mul, scalar, scalar_key)
+from .numerics import (Matrix, QC, SingularMatrixError, _filled,
+                       _numerators, frobenius_norm, gauss_jordan,
+                       gauss_mat_mul, inverse, mat_mul, scalar, scalar_key)
 
 
 class DecompositionError(ValueError):
@@ -47,7 +47,7 @@ def shift_factor(v, v_inv, pairs):
     Multiplied as (V E) V^-1, where column k of V E is column i of V:
     V (E V^-1) has the same nonzero entries in float mode but can flip
     the sign of zero ones, which the float ``decompose`` output prints."""
-    ve = Matrix.zeros(v.dim, v.exact).array.copy()
+    ve = _filled(v.dim, v.exact)
     for i, k in pairs:
         ve[:, k] = v.array[:, i]
     return mat_mul(Matrix(ve, exact=v.exact), v_inv)
@@ -154,7 +154,7 @@ class JordanDecomposition:
         """The array V M of ``_similar``: column c is lambda_c v_c plus
         v_{c-1} inside a chain, so it takes no product."""
         v = self.transform.array
-        vm = Matrix.zeros(self.dim, self.exact).array.copy()
+        vm = _filled(self.dim, self.exact)
         for b in self.blocks:
             end = b.start + b.order
             if diagonal:

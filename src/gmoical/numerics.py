@@ -233,7 +233,7 @@ class Matrix:
         if any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square")
         if exact is None:
-            exact = isinstance(next(iter(next(iter(rows), ())), None), QC)
+            exact = n > 0 and isinstance(rows[0][0], QC)
         array = np.array(rows, dtype=object if exact else complex)
         self._set(_as_qc(array) if exact else array, exact)
 
