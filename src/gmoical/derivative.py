@@ -145,7 +145,7 @@ def contour_oracle(f, x, y, n):
         change = float(np.linalg.norm(new - value))
         value = new
         if change <= 1e-13 * size or change >= last:
-            return Matrix.from_numpy(value * math.factorial(n))
+            return Matrix._of(value * math.factorial(n), False)
         last = change
     raise DerivativeError(
         f"contour sum did not settle within {_MAX_NODES} nodes")

@@ -28,13 +28,12 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
 from .numerics import (Matrix, QC, SingularMatrixError, _filled,
-                       _numerators, frobenius_norm, gauss_jordan,
-                       gauss_mat_mul, inverse, mat_mul, scalar, scalar_key)
+                       _numerators, _over, frobenius_norm, gauss_jordan,
+                       inverse, mat_mul, scalar, scalar_key)
 
 
 class DecompositionError(ValueError):
@@ -50,7 +49,7 @@ def shift_factor(v, v_inv, pairs):
     ve = _filled(v.dim, v.exact)
     for i, k in pairs:
         ve[:, k] = v.array[:, i]
-    return mat_mul(Matrix(ve, exact=v.exact), v_inv)
+    return mat_mul(Matrix._of(ve, v.exact), v_inv)
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,8 @@ class JordanDecomposition:
     def _similar(self, diagonal, shift):
         """V M V^-1 for M in Jordan coordinates: the eigenvalues on the
         diagonal if ``diagonal``, plus the chains' shift S if ``shift``."""
-        return mat_mul(Matrix(self._v_times(diagonal, shift),
-                              exact=self.exact), self.transform_inv)
+        return mat_mul(Matrix._of(self._v_times(diagonal, shift),
+                                  self.exact), self.transform_inv)
 
     def _v_times(self, diagonal, shift):
         """The array V M of ``_similar``: column c is lambda_c v_c plus
@@ -245,7 +244,7 @@ def from_structure(structure, transform):
     chains.sort(key=lambda ch: (*scalar_key(ch[0]), -ch[2]))
     # re-pack V columns to the sorted chain order
     perm = [c for _, start, m in chains for c in range(start, start + m)]
-    v = Matrix(transform.array[:, perm], exact=exact)
+    v = Matrix._of(transform.array[:, perm], exact)
     try:
         v_inv = inverse(v)
     except SingularMatrixError as e:
@@ -318,7 +317,7 @@ def _decompose_auto_float(x, tol):
             f"auto decomposition found {len(cols)} chain vectors for a "
             f"matrix of dim {n}: its rank decisions are inconsistent at "
             f"this tolerance")
-    dec = from_structure(structure, Matrix.from_numpy(np.column_stack(cols)))
+    dec = from_structure(structure, Matrix._of(np.column_stack(cols), False))
     # ||V J V^-1 - X||_F
     resid = float(np.linalg.norm(dec._v_times(True, True)
                                  @ dec.transform_inv.array - a))
@@ -381,19 +380,16 @@ def _decompose_auto_exact(x):
     """Write x = B / d over the Gaussian integers (``_numerators``); its
     eigenvalues are mu / d for the eigenvalues mu of B, and its chains
     are those of E = B - mu I, since x - lambda I = E / d."""
-    re, im, d = _numerators(x.rows)
+    re, im, d = _numerators(x)
+    eye = np.identity(x.dim, dtype=object)
     structure = []    # one (eigenvalue, [chain length]) pair per chain
     cols = []         # the chain vectors, in structure order
     for (mr, mi), mult in _eigenvalues(re, im, d):
-        er = [[u - mr * (i == j) for j, u in enumerate(r)]
-              for i, r in enumerate(re)]
-        ei = [[u - mi * (i == j) for j, u in enumerate(r)]
-              for i, r in enumerate(im)]
         lam = QC(Fraction(mr, d), Fraction(mi, d))
-        for chain in _chains(er, ei, mult, d):
+        for chain in _chains(re - mr * eye, im - mi * eye, mult, d):
             structure.append((lam, [len(chain)]))
             cols.extend(chain)
-    return from_structure(structure, Matrix(list(zip(*cols)), exact=True))
+    return from_structure(structure, Matrix._of(np.column_stack(cols), True))
 
 
 def _eigenvalues(re, im, d):
@@ -469,22 +465,24 @@ def _root_near(g, z):
 
 def _chains(er, ei, mult, d):
     """The Jordan chains of an eigenvalue of algebraic multiplicity
-    ``mult``, for E = er + i ei, as sympy's ``jordan_form`` picks them,
-    each a list of exact columns with the eigenvector first. The nullities
-    d_k of E^k give 2 d_k - d_(k-1) - d_(k+1) chains of length k, longest
-    first. A chain of length m has as its top v the first nullspace vector
-    of E^m that is independent of the nullspace of E^(m-1) and of the
-    eigenvalue's earlier chain vectors, and its columns are
-    (E / d)^i v for i = m-1, ..., 0. A nullspace vector sets one free
-    variable of the reduced row echelon form to 1 and each pivot variable
-    to minus that row's entry in the free column."""
+    ``mult``, for E = er + i ei (object arrays of Python ints), as sympy's
+    ``jordan_form`` picks them, each a list of exact columns (arrays of QC)
+    with the eigenvector first. The nullities d_k of E^k give
+    2 d_k - d_(k-1) - d_(k+1) chains of length k, longest first. A chain
+    of length m has as its top v the first nullspace vector of E^m that is
+    independent of the nullspace of E^(m-1) and of the eigenvalue's
+    earlier chain vectors, and its columns are (E / d)^i v for
+    i = m-1, ..., 0. A nullspace vector sets one free variable of the
+    reduced row echelon form to 1 and each pivot variable to minus that
+    row's entry in the free column."""
     n = len(er)
     power = (er, ei)
     nulls = [([], None)]  # per k, a basis p v of the nullspace of E^k, p
     # the nullity of E^k grows with k until it reaches mult
     while len(nulls[-1][0]) < mult:
         if len(nulls) > 1:
-            power = gauss_mat_mul(*power, er, ei)
+            power = (power[0] @ er - power[1] @ ei,
+                     power[0] @ ei + power[1] @ er)
         rr, ri = _primitive(zip(*power))
         pivots, p = gauss_jordan(rr, ri, n)
         basis = []
@@ -505,18 +503,16 @@ def _chains(er, ei, mult, d):
         avoid = nulls[m - 1][0] + used
         rank = _rank(avoid, n)
         candidates, (pr, pi) = nulls[m]
-        vr, vi = next(v for v in candidates
-                      if _rank(avoid + [v], n) > rank)
+        vr, vi = np.array(next(v for v in candidates
+                               if _rank(avoid + [v], n) > rank), dtype=object)
         chain = []
         for i in range(m):
             if i:
-                vr, vi = _apply(er, ei, vr, vi)
+                vr, vi = er @ vr - ei @ vi, er @ vi + ei @ vr
             used.append((vr, vi))
             qr, qi = pr * d ** i, pi * d ** i
-            norm = qr * qr + qi * qi
-            chain.append([QC(Fraction(u * qr + v * qi, norm),
-                             Fraction(v * qr - u * qi, norm))
-                          for u, v in zip(vr, vi)])
+            chain.append(_over(vr * qr + vi * qi, vi * qr - vr * qi,
+                               qr * qr + qi * qi))
         chains.append(chain[::-1])
     return chains
 
@@ -536,14 +532,6 @@ def _primitive(rows):
 def _rank(vectors, n):
     """The rank of Gaussian-integer vectors (re, im) of length n."""
     return len(gauss_jordan(*_primitive(vectors), n)[0])
-
-
-def _apply(er, ei, vr, vi):
-    """E v for the Gaussian-integer matrix er + i ei and vector vr + i vi."""
-    return ([sum(map(mul, x, vr)) - sum(map(mul, y, vi))
-             for x, y in zip(er, ei)],
-            [sum(map(mul, x, vi)) + sum(map(mul, y, vr))
-             for x, y in zip(er, ei)])
 
 
 # Polynomials over Z[i]: lists of coefficients (re, im), leading first.
@@ -567,15 +555,14 @@ def _charpoly(re, im):
     the column above b_kk and r the row left of it."""
     poly = [(1, 0)]
     for k in range(len(re)):
-        ar, ai = [r[:k] for r in re[:k]], [r[:k] for r in im[:k]]
-        cr, ci = [r[k] for r in re[:k]], [r[k] for r in im[:k]]
-        rr, ri = re[k][:k], im[k][:k]
-        col = [(1, 0), (-re[k][k], -im[k][k])]
+        ar, ai = re[:k, :k], im[:k, :k]
+        cr, ci = re[:k, k], im[:k, k]
+        rr, ri = re[k, :k], im[k, :k]
+        col = [(1, 0), (-re[k, k], -im[k, k])]
         for j in range(k):
             if j:
-                cr, ci = _apply(ar, ai, cr, ci)
-            col.append((sum(map(mul, ri, ci)) - sum(map(mul, rr, cr)),
-                        -sum(map(mul, rr, ci)) - sum(map(mul, ri, cr))))
+                cr, ci = ar @ cr - ai @ ci, ar @ ci + ai @ cr
+            col.append((ri @ ci - rr @ cr, -(rr @ ci) - ri @ cr))
         poly = [(sum(t[0] * p[0] - t[1] * p[1] for t, p in pairs),
                  sum(t[0] * p[1] + t[1] * p[0] for t, p in pairs))
                 for pairs in ([(col[j - i], poly[i])

@@ -7,18 +7,19 @@ mode and dtype ``object`` holding ``QC`` in exact mode, so its elementwise
 operations are one array expression in either mode. Float ``mat_mul`` is
 numpy's product and float ``inverse`` runs Gauss-Jordan elimination with
 partial pivoting on the array. The exact kernels write a matrix as
-(R + iI) / d, integer numerator rows over the least common denominator of
-its entries: a product takes integer dot products and reduces each entry
-once, and the inverse is fraction-free Gauss-Jordan elimination over the
-Gaussian integers (``gauss_jordan``), which also gives the exact
-decomposition its ranks and nullspaces.
+(R + iI) / d: R and I are object arrays of Python ints, the numerators over
+the least common denominator d of its entries. A product is numpy's
+product of those arrays, with each entry reduced once, and the inverse is
+fraction-free Gauss-Jordan elimination over the Gaussian integers
+(``gauss_jordan``), which also gives the exact decomposition its ranks and
+nullspaces. Matrices the library builds skip the constructor's coercion
+of entries (``Matrix._of``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -244,7 +245,10 @@ class Matrix:
 
     @classmethod
     def _of(cls, array, exact):
-        """The matrix of an array this module built, as it is."""
+        """The matrix of an array, or of nested lists of scalars of the
+        mode, that the library built, as it is."""
+        if isinstance(array, list):
+            array = np.array(array, dtype=object if exact else complex)
         m = object.__new__(cls)
         m._set(array, exact)
         return m
@@ -385,47 +389,32 @@ _as_qc = np.frompyfunc(lambda e: e if isinstance(e, QC) else QC(e), 1, 1)
 
 
 def mat_mul(a, b):
+    """The product: numpy's in float mode; in exact mode numpy's products
+    of the Gaussian-integer numerators, over d_a * d_b."""
     a._check(b)
-    if a.exact:
-        return _exact_mat_mul(a, b)
-    return Matrix._of(a.array @ b.array, False)
+    if not a.exact:
+        return Matrix._of(a.array @ b.array, False)
+    ar, ai, da = _numerators(a)
+    br, bi, db = _numerators(b)
+    return Matrix._of(_over(ar @ br - ai @ bi, ar @ bi + ai @ br, da * db),
+                      True)
 
 
-def _numerators(rows):
-    """Rows of exact scalars as (R, I, d): integer rows R and I and the
-    least common denominator d of every part, with rows = (R + iI) / d."""
-    d = math.lcm(*(p.denominator for r in rows for e in r
-                   for p in (e.re, e.im)))
-    re = [[e.re.numerator * (d // e.re.denominator) for e in r]
-          for r in rows]
-    im = [[e.im.numerator * (d // e.im.denominator) for e in r]
-          for r in rows]
+def _numerators(m):
+    """An exact matrix as (R, I, d): object arrays of Python ints R and I
+    and the least common denominator d of every part, with m = (R + iI) / d.
+    """
+    entries = m.array.ravel().tolist()
+    d = math.lcm(*(p.denominator for e in entries for p in (e.re, e.im)))
+    re, im = (np.array([p.numerator * (d // p.denominator) for p in parts],
+                       dtype=object).reshape(m.array.shape)
+              for parts in ([e.re for e in entries], [e.im for e in entries]))
     return re, im, d
 
 
-def _exact_mat_mul(a, b):
-    """The exact product over Gaussian integers: four integer dot
-    products per entry and one reduction over d_a * d_b."""
-    ar, ai, da = _numerators(a.rows)
-    br, bi, db = _numerators(b.rows)
-    den = da * db
-    return Matrix([[QC(Fraction(u, den), Fraction(v, den))
-                    for u, v in zip(x, y)]
-                   for x, y in zip(*gauss_mat_mul(ar, ai, br, bi))],
-                  exact=True)
-
-
-def gauss_mat_mul(ar, ai, br, bi):
-    """The product of the Gaussian-integer matrices ar + i ai and
-    br + i bi, as its integer rows (re, im)."""
-    cols = list(zip(zip(*br), zip(*bi)))
-    re, im = [], []
-    for x, y in zip(ar, ai):
-        re.append([sum(map(mul, x, u)) - sum(map(mul, y, v))
-                   for u, v in cols])
-        im.append([sum(map(mul, x, v)) + sum(map(mul, y, u))
-                   for u, v in cols])
-    return re, im
+# the QC entries (u + i v) / den of integer arrays u and v and an int den
+_over = np.frompyfunc(
+    lambda u, v, den: QC(Fraction(u, den), Fraction(v, den)), 3, 1)
 
 
 def frobenius_norm(a):
@@ -473,17 +462,17 @@ def _exact_inverse(a):
     half ends as p I and the right half as p M^-1, for the last pivot p,
     so a^-1 = d (p M^-1) / p."""
     n = a.dim
-    re, im, d = _numerators(a.rows)
-    ar = [r + [int(i == j) for j in range(n)] for i, r in enumerate(re)]
-    ai = [r + [0] * n for r in im]
+    re, im, d = _numerators(a)
+    ar = [r + [int(i == j) for j in range(n)]
+          for i, r in enumerate(re.tolist())]
+    ai = [r + [0] * n for r in im.tolist()]
     pivots, (pr, pi) = gauss_jordan(ar, ai, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular (exact)")
-    norm = pr * pr + pi * pi
-    return Matrix([[QC(Fraction(d * (u * pr + v * pi), norm),
-                       Fraction(d * (v * pr - u * pi), norm))
-                    for u, v in zip(xr[n:], xi[n:])]
-                   for xr, xi in zip(ar, ai)], exact=True)
+    xr = np.array(ar, dtype=object)[:, n:]
+    xi = np.array(ai, dtype=object)[:, n:]
+    return Matrix._of(_over(d * (xr * pr + xi * pi), d * (xi * pr - xr * pi),
+                            pr * pr + pi * pi), True)
 
 
 def gauss_jordan(ar, ai, ncols):

@@ -213,7 +213,7 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
         if j == 0:
             return accs
         return [None if acc is None
-                else mat_mul(Matrix(acc, exact=exact), basis[j]).rows
+                else mat_mul(Matrix._of(acc, exact), basis[j]).rows
                 for acc in accs]
 
     plan = _plan(wanted, r - 1)
@@ -223,7 +223,7 @@ def eval_slot_sum(symbol, decs, interleave=None, budget=None, keys=None):
     # collection, which long runs of slot sums reach late
     del contract
     sums = {k: Matrix.zeros(dim, exact) if rows is None
-            else mat_mul(decs[0].transform, Matrix(rows, exact=exact))
+            else mat_mul(decs[0].transform, Matrix._of(rows, exact))
             for k, rows in zip(wanted, totals)}
     return sums if keys is not None else sums[wanted[0]]
 

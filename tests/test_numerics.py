@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmoical import (DimensionMismatchError, Matrix, NumericsError, QC,
-                     SingularMatrixError, frobenius_norm, inverse, mat_mul)
+                     SingularMatrixError, decompose, frobenius_norm,
+                     gen_fixture, inverse, mat_mul)
 from exact_kernel_reference import inverse_reference, mat_mul_reference
 
 
@@ -233,6 +234,32 @@ class TestExactKernels:
                          for _ in range(16)] for _ in range(16)], exact=True)
                 for _ in range(2))
         assert mat_mul(a, b).rows == mat_mul_reference(a, b).rows
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_parts_beyond_int64(self, n):
+        # whole parts fit in int64 but their products do not, and the
+        # fractions have numerators and denominators past 2**63: integer
+        # arrays that fell back to int64 would wrap or raise
+        rng = random.Random(300 + n)
+
+        def whole():
+            return Fraction(rng.randint(-2 ** 62, 2 ** 62))
+
+        def ratio():
+            return Fraction(rng.randint(-2 ** 90, 2 ** 90),
+                            rng.randint(2 ** 63, 2 ** 70))
+
+        for part in (whole, ratio):
+            a, b = (Matrix([[qc(part(), part()) for _ in range(n)]
+                            for _ in range(n)], exact=True) for _ in range(2))
+            assert mat_mul(a, b).rows == mat_mul_reference(a, b).rows
+            assert inverse(a).rows == inverse_reference(a).rows
+        x, _ = gen_fixture([(Fraction(1), [3]), (Fraction(-2), [2, 1])],
+                           seed=n, exact=True)
+        x = x.scale(qc(ratio(), ratio()))
+        dec = decompose(x)
+        assert dec.reconstruct() == x
+        assert sorted(dec.signature()) == [(2, 1), (3,)]
 
 
 def _gaussian_pair(rng, n, span):
