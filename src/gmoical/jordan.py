@@ -288,28 +288,28 @@ def _decompose_auto_float(x, tol):
         lam = complex(np.mean(cl))
         mult = len(cl)
         b = a - lam * np.eye(n)
-        # rank profile of powers gives the chain-length partition
-        nullity = [0]
+        # the kernels of the powers of b; their nullity profile gives the
+        # chain-length partition
+        kernels = [np.zeros((n, 0))]
         power = np.eye(n)
-        s = 0
-        while nullity[-1] < mult:
-            if s == mult:
+        while kernels[-1].shape[1] < mult:
+            if len(kernels) > mult:
                 raise DecompositionError(
-                    f"the nullity of (x - lambda)^{s} stays below the "
+                    f"the nullity of (x - lambda)^{mult} stays below the "
                     f"multiplicity {mult} of the eigenvalue near {lam:.6g}: "
                     f"its rank decisions are inconsistent at this tolerance")
-            s += 1
             power = power @ b
-            rank = np.linalg.matrix_rank(power, tol=thr * 10)
-            nullity.append(n - rank)
+            kernels.append(_null_basis(power, thr))
+        s = len(kernels) - 1
         # number of chains of length >= s is nullity[s] - nullity[s-1]
-        ge = [nullity[i] - nullity[i - 1] for i in range(1, s + 1)]
+        ge = [kernels[i].shape[1] - kernels[i - 1].shape[1]
+              for i in range(1, s + 1)]
         lengths = []
         for length in range(s, 0, -1):
             cnt = ge[length - 1] - (ge[length] if length < s else 0)
             lengths.extend([length] * cnt)
         # build chains: top vectors from ker b^m modulo ker b^(m-1)
-        chain_vecs = _chain_vectors(b, lengths, thr, rel)
+        chain_vecs = _chain_vectors(b, kernels, lengths, rel)
         structure.append((lam, [len(vecs) for vecs in chain_vecs]))
         cols.extend(vec for vecs in chain_vecs for vec in vecs)
     if len(cols) != n:
@@ -336,21 +336,14 @@ def _null_basis(m, thr):
     return vh[rank:].conj().T
 
 
-def _chain_vectors(b, lengths, thr, rel):
-    """Jordan chains for nilpotent-on-eigenspace map b, given the chain
-    length partition (descending). Returns a list of column lists, each
-    chain ordered [top, b top, b^2 top, ...] reversed so that
-    b v_{k+1} = v_k (column c maps to column c-1). ``thr`` is the rank
-    tolerance at the matrix scale; a top candidate, a unit vector, must
+def _chain_vectors(b, kernels, lengths, rel):
+    """Jordan chains for nilpotent-on-eigenspace map b, given orthonormal
+    bases ``kernels[s]`` of the kernels of b^s and the chain length
+    partition (descending). Returns a list of column lists, each chain
+    ordered [top, b top, b^2 top, ...] reversed so that b v_{k+1} = v_k
+    (column c maps to column c-1). A top candidate, a unit vector, must
     keep a norm above ``rel * 100`` once the vectors to avoid are
     projected out."""
-    n = b.shape[0]
-    maxlen = max(lengths)
-    powers = [np.eye(n)]
-    for _ in range(maxlen):
-        powers.append(powers[-1] @ b)
-    kernels = [np.zeros((n, 0))] + [_null_basis(powers[s], thr)
-                                    for s in range(1, maxlen + 1)]
     chains = []
     for m in lengths:   # descending
         # project out: span of ker b^(m-1) plus b-images already used tops
