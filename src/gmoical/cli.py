@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,10 +37,31 @@ def _dec_json(dec):
 
 
 def _emit(payload, as_json):
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True))
+    """Print the payload as JSON; NumericsError, before anything is
+    printed, naming the path of the first NaN or infinity in it."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False,
+                          indent=None if as_json else 2)
+    except ValueError:
+        path, value = _non_finite(payload)
+        raise NumericsError(f"the output {path} is {json.dumps(value)}, "
+                            f"not a finite number") from None
+    click.echo(text)
+
+
+def _non_finite(value, path=""):
+    """(JSON path, value) of the first non-finite float in ``value``, in
+    the order ``_emit`` prints, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, value[k])
+                 for k in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
     else:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
 
 
 class _ValidationError(click.ClickException):

@@ -333,6 +333,35 @@ def test_float_check_of_entries_beyond_float_range_exact(runner, tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command, field", [
+    ("gmoi", "result.entries[0][0][0] is NaN"),
+    ("bounds", "actualNorm is Infinity"),
+    ("lipschitz", "actual is Infinity"),
+])
+def test_non_finite_float_output_exit_2(runner, tmp_path, command, field):
+    """Float results that overflow are refused with exit 2 and one error
+    line naming the first non-finite field, never printed as NaN or
+    Infinity."""
+    def matrix(name, a, b, c, d):
+        return _write(tmp_path, name, {"dim": 2, "entries": [
+            [a, 0], [b, 0], [c, 0], [d, 0]]})
+
+    x = matrix("x.json", 1, 0, 0, 2)
+    big = matrix("xb.json", 1e200, 1, 0, 2e200)
+    yb = matrix("yb.json", 1e200, 0, 0, 2e200)
+    beta = _write(tmp_path, "beta.json", {
+        "kind": "dd-lift", "order": 1,
+        "base": {"kind": "polynomial", "coeffs": [0, 0, 1]}})
+    argv = {"gmoi": ["--params", f"{big},{big}", "--args", x],
+            "bounds": ["--params", f"{x},{x}", "--args", yb],
+            "lipschitz": ["--params", f"{x},{x}", "--args", yb,
+                          "--args2", x]}[command]
+    res = runner.invoke(main, [command, "--beta", beta] + argv)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: the output {field}, not a finite number\n"
+
+
 class TestLipschitz:
     def test_equal_args_zero(self, runner, tmp_path, jordan2):
         beta = _write(tmp_path, "one.json", {

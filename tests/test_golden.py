@@ -49,6 +49,18 @@ def test_golden_stdout(name):
     assert _run(name) == want
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_stdout_is_strict_json(name):
+    """No golden output holds NaN or Infinity, which JSON does not have."""
+    with open(os.path.join(GOLDEN, "outputs", f"{name}.out")) as fh:
+        body = fh.read().partition("\n")[2]
+    json.loads(body, parse_constant=_reject)
+
+
 # At 3935b99 the float outputs agreed with their exact twins within
 # 3.2e-11 of scale (the continuity residuals) and 1.2e-14 elsewhere.
 TWIN_REL_TOL = 1e-9
