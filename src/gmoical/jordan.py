@@ -300,10 +300,10 @@ def _decompose_auto_float(x, tol):
                     f"its rank decisions are inconsistent at this tolerance")
             power = power @ b
             kernels.append(_null_basis(power, thr))
-        s = len(kernels) - 1
+        nullity = [k.shape[1] for k in kernels]
+        s = len(nullity) - 1
         # number of chains of length >= s is nullity[s] - nullity[s-1]
-        ge = [kernels[i].shape[1] - kernels[i - 1].shape[1]
-              for i in range(1, s + 1)]
+        ge = [nullity[i] - nullity[i - 1] for i in range(1, s + 1)]
         lengths = []
         for length in range(s, 0, -1):
             cnt = ge[length - 1] - (ge[length] if length < s else 0)

@@ -406,10 +406,10 @@ def _numerators(m):
     """
     entries = m.array.ravel().tolist()
     d = math.lcm(*(p.denominator for e in entries for p in (e.re, e.im)))
-    re, im = (np.array([p.numerator * (d // p.denominator) for p in parts],
-                       dtype=object).reshape(m.array.shape)
-              for parts in ([e.re for e in entries], [e.im for e in entries]))
-    return re, im, d
+    re = [e.re.numerator * (d // e.re.denominator) for e in entries]
+    im = [e.im.numerator * (d // e.im.denominator) for e in entries]
+    return (np.array(re, dtype=object).reshape(m.array.shape),
+            np.array(im, dtype=object).reshape(m.array.shape), d)
 
 
 # the QC entries (u + i v) / den of integer arrays u and v and an int den
